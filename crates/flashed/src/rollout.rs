@@ -921,10 +921,11 @@ impl Run<'_, '_> {
                 } else {
                     "rolling rollout stalled"
                 });
-            } else if self.gate.is_some() {
+            } else {
                 // The apply is visible before its pause event (the worker
                 // pushes the pause after the op drains); wait for the
-                // event so the gate never judges a step pauseless.
+                // event so neither the gate nor the fleet report ever
+                // sees a step pauseless.
                 let deadline = Instant::now() + fleet.deadline();
                 while w.remote().pauses().len() <= base.2 && Instant::now() < deadline {
                     thread::sleep(Duration::from_micros(50));

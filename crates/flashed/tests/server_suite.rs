@@ -245,3 +245,44 @@ fun serve(): int { send_response("unsolicited"); return 0; }
     // with none is rejected rather than reporting garbage.
     assert!(std::panic::catch_unwind(|| latency_stats(&cs)).is_err());
 }
+
+#[test]
+fn one_process_walks_the_history_forward_and_back_repeatedly() {
+    // A chain rollback used to leave the globals later versions added
+    // (`cache`, ...) name-bound, so the second forward walk was refused at
+    // v2 -> v3 with "global `cache` already exists".
+    let (fs, mut wl) = small_fixture();
+    let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let stream = patch_stream().unwrap();
+    let typed = |s: &Server| {
+        let last = s.completions().last().expect("served").response.clone();
+        last.contains("Content-Type")
+    };
+    for round in 1..=3 {
+        for gen in &stream {
+            s.queue_patch(gen.patch.clone());
+            s.push_requests(wl.batch(10));
+            let served = s.serve();
+            assert!(
+                served.is_ok(),
+                "round {round}, {} -> {}: {served:?}",
+                gen.patch.from_version,
+                gen.patch.to_version
+            );
+        }
+        assert!(typed(&s), "round {round}: v5 names the content type");
+        assert_eq!(s.remote().enqueue_rollback_chain(4), 4);
+        s.push_requests(wl.batch(10));
+        s.serve().unwrap();
+        s.push_requests(wl.batch(10));
+        s.serve().unwrap();
+        assert!(!typed(&s), "round {round}: back at v1");
+        assert!(s.updater.snapshot_transitions().is_empty());
+    }
+    assert!(
+        s.updater.failures().is_empty(),
+        "{:?}",
+        s.updater.failures()
+    );
+    assert_eq!(s.updater.log().len(), 3 * (4 + 4));
+}

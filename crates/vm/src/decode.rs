@@ -35,9 +35,22 @@
 //!
 //! ## Fusion rules
 //!
-//! Pairs are fused greedily left-to-right, longest pattern first, and
-//! never across a jump target (a branch must land on a decoded
-//! instruction boundary):
+//! Patterns are matched greedily left-to-right, longest first, and never
+//! across a jump target (a branch must land on a decoded instruction
+//! boundary). Every rewrite keeps the operand-stack effect and the traps
+//! of the sequence it replaces, so what the verifier proved about the
+//! `Op`s holds for the `DOp`s.
+//!
+//! Borrowed access paths — the container is read where it lives instead
+//! of being cloned onto the operand stack and dropped again:
+//!
+//! * `LoadLocal r; GetField f` → [`DOp::LocalGetField`]
+//! * `LoadLocal a; LoadLocal i; ArrayGet` → [`DOp::LocalArrayGet`]
+//! * `LoadGlobal g; LoadLocal i; ArrayGet` → [`DOp::GlobalArrayGet`]
+//!   (a pending lazy transformer on `g` still runs first)
+//! * `LoadLocal a; ArrayLen` → [`DOp::LocalArrayLen`]
+//!
+//! Arithmetic, compares and calls:
 //!
 //! * `PushInt k; <cmp>; JumpIfFalse t` → [`DOp::CmpConstBranch`]
 //! * `<cmp>; JumpIfFalse t` → [`DOp::CmpBranch`]
@@ -45,7 +58,12 @@
 //! * `PushInt k; <cmp>` → [`DOp::CmpConst`]
 //! * `LoadLocal n; CallSlot s` → [`DOp::LoadLocalCallSlot`]
 //! * `LoadLocal n; CallDirect f` → [`DOp::LoadLocalCallDirect`]
-//! * `LoadLocal a; LoadLocal b` → [`DOp::LoadLocal2`]
+//! * `LoadLocal a; LoadLocal b` → [`DOp::LoadLocal2`], unless the second
+//!   load starts an access path — then the first stays a plain
+//!   `LoadLocal` and the path fuses
+//!
+//! `PushUnit; Pop` — what an expression statement leaves behind — decodes
+//! to nothing; a branch to it lands on the instruction that follows.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -168,6 +186,17 @@ pub enum DOp {
     CmpConst(Cmp, i64),
     /// `LoadLocal a; LoadLocal b`.
     LoadLocal2(u16, u16),
+    /// `LoadLocal r; GetField f`: push field `f` of the record in local
+    /// `r` (traps on `null`).
+    LocalGetField(u16, u16),
+    /// `LoadLocal a; LoadLocal i; ArrayGet`: push element `locals[i]` of
+    /// the array in local `a` (traps out of bounds).
+    LocalArrayGet(u16, u16),
+    /// `LoadGlobal g; LoadLocal i; ArrayGet`: push element `locals[i]` of
+    /// the array in global `g`, after any pending lazy transformer.
+    GlobalArrayGet(GlobalId, u16),
+    /// `LoadLocal a; ArrayLen`: push the length of the array in local `a`.
+    LocalArrayLen(u16),
     /// `LoadLocal n; CallSlot s`: push local `n`, call through the slot's
     /// inline cache.
     LoadLocalCallSlot(u16, Box<InlineCache>),
@@ -343,6 +372,28 @@ fn lower_one(op: &Op) -> DOp {
     }
 }
 
+/// The borrowed access path starting at `code[i]`, if any, with the number
+/// of ops it covers. `is_target` marks ops a branch lands on; none but the
+/// first may be absorbed.
+fn access_path(code: &[Op], is_target: &[bool], i: usize) -> Option<(DOp, usize)> {
+    let free = |j: usize| j < code.len() && !is_target[j];
+    if !free(i + 1) {
+        return None;
+    }
+    match (&code[i], &code[i + 1]) {
+        (Op::LoadLocal(r), Op::GetField(f)) => Some((DOp::LocalGetField(*r, *f), 2)),
+        (Op::LoadLocal(a), Op::ArrayLen) => Some((DOp::LocalArrayLen(*a), 2)),
+        (base, Op::LoadLocal(n)) if free(i + 2) && matches!(code[i + 2], Op::ArrayGet) => {
+            match base {
+                Op::LoadLocal(a) => Some((DOp::LocalArrayGet(*a, *n), 3)),
+                Op::LoadGlobal(g) => Some((DOp::GlobalArrayGet(*g, *n), 3)),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
 /// Lowers linked code into decoded threaded form (see module docs).
 pub fn lower(code: &[Op]) -> Vec<DOp> {
     // A branch must land on a decoded-instruction boundary: an op that is
@@ -356,14 +407,20 @@ pub fn lower(code: &[Op]) -> Vec<DOp> {
 
     // Pass 1: fuse, recording old-index → new-index for every old op (a
     // target always maps to the start of the group that covers it, since
-    // targets are never absorbed).
+    // targets are never absorbed; an elided group maps to what follows).
     let mut map = vec![0usize; code.len() + 1];
     let mut out: Vec<DOp> = Vec::with_capacity(code.len());
     let mut i = 0;
     while i < code.len() {
         let free2 = i + 1 < code.len() && !is_target[i + 1];
         let free3 = free2 && i + 2 < code.len() && !is_target[i + 2];
-        let (dop, len) = match &code[i] {
+        if free2 && matches!(code[i..i + 2], [Op::PushUnit, Op::Pop]) {
+            map[i] = out.len();
+            map[i + 1] = out.len();
+            i += 2;
+            continue;
+        }
+        let (dop, len) = access_path(code, &is_target, i).unwrap_or_else(|| match &code[i] {
             Op::PushInt(k) if free2 => match (&code[i + 1], code.get(i + 2)) {
                 (Op::Add, _) => (DOp::AddConst(*k), 2),
                 (Op::Sub, _) => (DOp::SubConst(*k), 2),
@@ -386,7 +443,9 @@ pub fn lower(code: &[Op]) -> Vec<DOp> {
                 (DOp::CmpBranch(Cmp::from_op(cmp).unwrap(), t), 2)
             }
             Op::LoadLocal(n) if free2 => match &code[i + 1] {
-                Op::LoadLocal(m) => (DOp::LoadLocal2(*n, *m), 2),
+                Op::LoadLocal(m) if access_path(code, &is_target, i + 1).is_none() => {
+                    (DOp::LoadLocal2(*n, *m), 2)
+                }
                 Op::CallSlot(s) => (
                     DOp::LoadLocalCallSlot(*n, Box::new(InlineCache::new(*s))),
                     2,
@@ -395,7 +454,7 @@ pub fn lower(code: &[Op]) -> Vec<DOp> {
                 _ => (DOp::LoadLocal(*n), 1),
             },
             other => (lower_one(other), 1),
-        };
+        });
         for m in &mut map[i..i + len] {
             *m = out.len();
         }
@@ -510,6 +569,163 @@ mod tests {
                     DOp::IntCmp(Cmp::Lt),
                     DOp::JumpIfFalse(0),
                     DOp::Jump(2),
+                ]
+            ),
+            "{d:?}"
+        );
+    }
+
+    #[test]
+    fn fuses_borrowed_access_paths() {
+        let g = GlobalId(7);
+        let code = vec![
+            Op::LoadLocal(3),
+            Op::GetField(1),
+            Op::LoadLocal(0),
+            Op::LoadLocal(2),
+            Op::ArrayGet,
+            Op::LoadGlobal(g),
+            Op::LoadLocal(2),
+            Op::ArrayGet,
+            Op::LoadLocal(0),
+            Op::ArrayLen,
+            Op::Ret,
+        ];
+        let d = lower(&code);
+        assert!(
+            matches!(
+                d.as_slice(),
+                [
+                    DOp::LocalGetField(3, 1),
+                    DOp::LocalArrayGet(0, 2),
+                    DOp::GlobalArrayGet(GlobalId(7), 2),
+                    DOp::LocalArrayLen(0),
+                    DOp::Ret,
+                ]
+            ),
+            "{d:?}"
+        );
+    }
+
+    #[test]
+    fn load_local_pair_yields_to_an_access_path() {
+        // `i < len(a)`: the second load belongs to the length read.
+        let code = vec![
+            Op::LoadLocal(2),
+            Op::LoadLocal(0),
+            Op::ArrayLen,
+            Op::Lt,
+            Op::Ret,
+        ];
+        let d = lower(&code);
+        assert!(
+            matches!(
+                d.as_slice(),
+                [
+                    DOp::LoadLocal(2),
+                    DOp::LocalArrayLen(0),
+                    DOp::IntCmp(Cmp::Lt),
+                    DOp::Ret
+                ]
+            ),
+            "{d:?}"
+        );
+        // `push(out, a[i])`: the last two loads and the read are the path.
+        let code = vec![
+            Op::LoadLocal(1),
+            Op::LoadLocal(0),
+            Op::LoadLocal(2),
+            Op::ArrayGet,
+            Op::ArrayPush,
+        ];
+        let d = lower(&code);
+        assert!(
+            matches!(
+                d.as_slice(),
+                [DOp::LoadLocal(1), DOp::LocalArrayGet(0, 2), DOp::ArrayPush]
+            ),
+            "{d:?}"
+        );
+        // Two loads feeding plain arithmetic still pair up.
+        let d = lower(&[Op::LoadLocal(0), Op::LoadLocal(1), Op::Add]);
+        assert!(
+            matches!(d.as_slice(), [DOp::LoadLocal2(0, 1), DOp::Add]),
+            "{d:?}"
+        );
+    }
+
+    #[test]
+    fn access_paths_never_absorb_a_jump_target() {
+        // Each `Jump` lands inside what would otherwise be one path.
+        let code = vec![
+            Op::LoadLocal(0),            // 0
+            Op::GetField(0),             // 1 <- target
+            Op::LoadLocal(0),            // 2
+            Op::ArrayLen,                // 3 <- target
+            Op::LoadLocal(0),            // 4
+            Op::LoadLocal(1),            // 5
+            Op::ArrayGet,                // 6 <- target
+            Op::LoadGlobal(GlobalId(0)), // 7
+            Op::LoadLocal(1),            // 8 <- target
+            Op::ArrayGet,                // 9
+            Op::Jump(1),
+            Op::Jump(3),
+            Op::Jump(6),
+            Op::Jump(8),
+        ];
+        let d = lower(&code);
+        assert!(
+            matches!(
+                d.as_slice(),
+                [
+                    DOp::LoadLocal(0),
+                    DOp::GetField(0),
+                    DOp::LoadLocal(0),
+                    DOp::ArrayLen,
+                    DOp::LoadLocal2(0, 1),
+                    DOp::ArrayGet,
+                    DOp::LoadGlobal(GlobalId(0)),
+                    DOp::LoadLocal(1),
+                    DOp::ArrayGet,
+                    DOp::Jump(1),
+                    DOp::Jump(3),
+                    DOp::Jump(5),
+                    DOp::Jump(7),
+                ]
+            ),
+            "{d:?}"
+        );
+    }
+
+    #[test]
+    fn expression_statement_residue_is_elided() {
+        // A branch to the elided pair lands on what follows it; a `Pop`
+        // that is itself a target keeps its `PushUnit`.
+        let code = vec![
+            Op::PushBool(true), // 0
+            Op::JumpIfFalse(3), // 1
+            Op::Nop,            // 2
+            Op::PushUnit,       // 3 <- target, elided with 4
+            Op::Pop,            // 4
+            Op::PushUnit,       // 5
+            Op::Pop,            // 6 <- target: kept
+            Op::PushUnit,       // 7
+            Op::Ret,            // 8
+            Op::Jump(6),        // 9
+        ];
+        let d = lower(&code);
+        assert!(
+            matches!(
+                d.as_slice(),
+                [
+                    DOp::PushBool(true),
+                    DOp::JumpIfFalse(3),
+                    DOp::Nop,
+                    DOp::PushUnit,
+                    DOp::Pop,
+                    DOp::PushUnit,
+                    DOp::Ret,
+                    DOp::Jump(4),
                 ]
             ),
             "{d:?}"

@@ -6,20 +6,35 @@
 //! it got replaced finishes under the old code — the paper's semantics for
 //! updating active code.
 //!
-//! The loop dispatches over each function's **pre-decoded** form (see
-//! [`crate::decode`]): operands are pre-extracted, hot pairs are fused
-//! into superinstructions, and updateable calls go through per-site
-//! inline caches validated against the process's bind generation — so a
-//! warm call pays no indirection-table traffic at all, while any rebind
-//! is observed by the very next call through every site.
+//! Execution is two nested loops. `exec` moves between frames: it
+//! pushes a frame for a call, pops one for a return, and stops on
+//! suspension or a trap. Inside it, one dispatch loop runs the top frame:
+//! a single `match` over the function's **pre-decoded** form (see
+//! [`crate::decode`]) — operands pre-extracted, hot sequences fused into
+//! superinstructions, updateable calls going through per-site inline
+//! caches validated against the process's bind generation, so a warm call
+//! pays no indirection-table traffic at all while any rebind is observed
+//! by the very next call through every site.
+//!
+//! The dispatch loop borrows the frame's locals, operand stack and code
+//! once on entry and keeps the instruction pointer and the instruction
+//! counter in locals. It stores both back on every way out — call,
+//! return, suspension, trap — and around the two places it hands control
+//! elsewhere mid-frame, host calls and lazy state transformers. So
+//! `ExecStats::instrs` always counts one per decoded op, fuel is exact
+//! across frames, and a run suspended at `update;` resumes at the
+//! instruction after it, under the code its frames pinned.
 
+use std::cell::Ref;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use tal::Ty;
 
 use crate::decode::{DOp, InlineCache};
 use crate::process::{LinkedFunction, Process};
 use crate::trap::Trap;
-use crate::value::{FnRef, Value};
+use crate::value::{FnRef, FuncId, GlobalId, Value};
 
 /// Cumulative execution counters, used by the benchmark harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,55 +201,143 @@ pub enum Outcome {
     Suspended,
 }
 
-/// Resolves a slot-call site through its inline cache.
+/// Resolves the slot-call site at `pc` of `func` through its inline cache.
 ///
 /// A warm cache whose generation matches the process's current bind
 /// generation answers with no indirection-table traffic — one compare,
 /// then a direct code-store fetch. Otherwise the slot is consulted and
 /// the cache refilled at the current generation (so the next rebind —
-/// which bumps the generation — invalidates it again).
+/// which bumps the generation — invalidates it again). Generation 0 means
+/// caching is disabled: every call goes through the table.
 #[inline]
 fn resolve_slot_call(
     proc: &mut Process,
     ic: &InlineCache,
     generation: u64,
+    func: &str,
+    pc: usize,
 ) -> Result<Rc<LinkedFunction>, Trap> {
     proc.stats.slot_calls += 1;
-    if generation != 0 {
-        if let Some(id) = ic.lookup(generation) {
-            proc.stats.ic_hits += 1;
-            return Ok(Rc::clone(proc.function(id)));
+    let caching = generation != 0;
+    let cached = if caching { ic.lookup(generation) } else { None };
+    let (hits, misses) = match cached {
+        Some(_) => (1, 0),
+        None => (0, u64::from(caching)),
+    };
+    proc.stats.ic_hits += hits;
+    proc.stats.ic_misses += misses;
+    let id = match cached {
+        Some(id) => id,
+        None => {
+            let id = proc
+                .slot_target(ic.slot)
+                .ok_or_else(|| Trap::UnboundSlot(proc.slot_name(ic.slot).to_string()))?;
+            if caching {
+                ic.fill(generation, id);
+            }
+            id
         }
-        proc.stats.ic_misses += 1;
-        let id = proc
-            .slot_target(ic.slot)
-            .ok_or_else(|| Trap::UnboundSlot(proc.slot_name(ic.slot).to_string()))?;
-        ic.fill(generation, id);
-        return Ok(Rc::clone(proc.function(id)));
+    };
+    if let Some(p) = proc.profiler.as_deref_mut() {
+        p.record_site(func, pc, hits, misses);
     }
-    let id = proc
-        .slot_target(ic.slot)
-        .ok_or_else(|| Trap::UnboundSlot(proc.slot_name(ic.slot).to_string()))?;
     Ok(Rc::clone(proc.function(id)))
+}
+
+/// How the dispatch loop leaves the frame it was running.
+enum Transfer {
+    /// Enter this callee; its arguments are on the operand stack.
+    Call(Rc<LinkedFunction>),
+    /// Leave the frame; its return value is on top of the operand stack.
+    Ret,
+    /// Suspend at the update point just executed.
+    Suspend,
+}
+
+#[cold]
+#[inline(never)]
+fn type_confusion(expected: &str, found: Option<Value>) -> ! {
+    panic!("verified code: expected {expected}, found {found:?}")
+}
+
+/// Pops an operand of the variant the verifier guarantees. Matching the
+/// moved `Value` leaves nothing to drop for scalars and no reference-count
+/// round trip for strings.
+macro_rules! pop {
+    ($stack:expr, $variant:ident) => {
+        match $stack.pop() {
+            Some(Value::$variant(x)) => x,
+            v => type_confusion(stringify!($variant), v),
+        }
+    };
+}
+
+#[inline(always)]
+fn top_int(stack: &mut [Value]) -> &mut i64 {
+    match stack.last_mut() {
+        Some(Value::Int(n)) => n,
+        v => type_confusion("Int", v.cloned()),
+    }
+}
+
+/// Field `i` of the record `r`, borrowed in place.
+#[inline(always)]
+fn record_field(r: &Value, i: u16) -> Result<Ref<'_, Value>, Trap> {
+    match r {
+        Value::Record(rec) => Ok(Ref::map(rec.fields.borrow(), |f| &f[i as usize])),
+        Value::Null => Err(Trap::NullDeref),
+        v => panic!("verified code read field of {v:?}"),
+    }
+}
+
+/// Element `i` of the array `a`, borrowed in place.
+#[inline(always)]
+fn array_elem(a: &Value, i: i64) -> Result<Ref<'_, Value>, Trap> {
+    let Value::Array(a) = a else {
+        panic!("verified code indexed {a:?}")
+    };
+    Ref::filter_map(a.borrow(), |a| {
+        usize::try_from(i).ok().and_then(|i| a.get(i))
+    })
+    .map_err(|a| Trap::IndexOutOfBounds {
+        index: i,
+        len: a.len(),
+    })
+}
+
+#[inline(always)]
+fn array_len(a: &Value) -> Value {
+    let Value::Array(a) = a else {
+        panic!("verified code measured {a:?}")
+    };
+    Value::Int(a.borrow().len() as i64)
+}
+
+/// Lazy state transformation: a pending transformer runs on first read
+/// (the flag clears first, so the transformer may itself read this global
+/// and see the old value).
+#[cold]
+fn run_pending_transform(proc: &mut Process, id: GlobalId, fid: FuncId) -> Result<(), Trap> {
+    let cell = proc.global_cell_mut(id);
+    cell.pending_transform = None;
+    let old = cell.value.clone();
+    let new = proc.call_fid(fid, vec![old])?;
+    proc.global_cell_mut(id).value = new;
+    Ok(())
 }
 
 /// Runs `st` to completion (or suspension) against `proc`.
 ///
 /// `honor_updates` gates whether `update.point` instructions can suspend;
 /// state transformers and host-driven helper calls run with it off.
-#[allow(clippy::too_many_lines)]
 pub(crate) fn exec(
     proc: &mut Process,
     st: &mut ExecState,
     honor_updates: bool,
 ) -> Result<Outcome, Trap> {
-    // The top frame's code, mirrored into a local so instruction fetch
-    // borrows neither the frame stack nor the process. Re-synced on every
-    // call and return.
-    let mut func = Rc::clone(&st.frames.last().expect("at least one frame").func);
-    // Nothing can rebind while `&mut Process` is held by this loop, so the
-    // bind generation is a loop invariant; hoist it (0 = caching disabled,
-    // which no real generation ever equals).
+    // Nothing can rebind while `&mut Process` is held here, so the bind
+    // generation is fixed for the whole run (0 = caching disabled, which
+    // no real generation ever equals).
     let generation = if proc.inline_caching() {
         proc.bind_generation()
     } else {
@@ -243,102 +346,21 @@ pub(crate) fn exec(
     // An armed profiler mirrors the guest stack; re-entering execution
     // (fresh call, resume, host-driven helper) re-seeds the mirror from
     // the real frames so charged stacks stay truthful.
-    if proc.profiler.is_some() {
-        let names = st.frame_functions();
-        let instrs = proc.stats.instrs;
-        if let Some(p) = proc.profiler.as_deref_mut() {
-            p.resync(&names, instrs);
-        }
+    if let Some(p) = proc.profiler.as_deref_mut() {
+        p.resync(&st.frame_functions(), proc.stats.instrs);
     }
     loop {
-        let op = {
-            let frame = st.frames.last().expect("frame");
-            &func.decoded[frame.pc]
-        };
-        proc.stats.instrs += 1;
-        if proc.stats.instrs >= proc.fuel_limit() {
-            return Err(Trap::OutOfFuel);
-        }
-
-        // Call/return manipulate the frame stack; everything else operates
-        // on the current frame only.
-        match op {
-            DOp::CallDirect(id) => {
-                let callee = Rc::clone(proc.function(*id));
-                st.frames.last_mut().expect("frame").pc += 1;
-                func = Rc::clone(&callee);
-                push_call(proc, st, callee)?;
-                continue;
-            }
-            DOp::CallSlot(ic) => {
-                let (h0, m0) = (proc.stats.ic_hits, proc.stats.ic_misses);
-                let callee = resolve_slot_call(proc, ic, generation)?;
-                if proc.profiler.is_some() {
-                    let pc = st.frames.last().expect("frame").pc;
-                    let (h, m) = (proc.stats.ic_hits - h0, proc.stats.ic_misses - m0);
-                    if let Some(p) = proc.profiler.as_deref_mut() {
-                        p.record_site(&func.name, pc, h, m);
-                    }
-                }
-                st.frames.last_mut().expect("frame").pc += 1;
-                func = Rc::clone(&callee);
-                push_call(proc, st, callee)?;
-                continue;
-            }
-            DOp::LoadLocalCallDirect(n, id) => {
-                let callee = Rc::clone(proc.function(*id));
-                let frame = st.frames.last_mut().expect("frame");
-                let v = frame.locals[*n as usize].clone();
-                frame.stack.push(v);
-                frame.pc += 1;
-                func = Rc::clone(&callee);
-                push_call(proc, st, callee)?;
-                continue;
-            }
-            DOp::LoadLocalCallSlot(n, ic) => {
-                let (h0, m0) = (proc.stats.ic_hits, proc.stats.ic_misses);
-                let callee = resolve_slot_call(proc, ic, generation)?;
-                if proc.profiler.is_some() {
-                    let pc = st.frames.last().expect("frame").pc;
-                    let (h, m) = (proc.stats.ic_hits - h0, proc.stats.ic_misses - m0);
-                    if let Some(p) = proc.profiler.as_deref_mut() {
-                        p.record_site(&func.name, pc, h, m);
-                    }
-                }
-                let frame = st.frames.last_mut().expect("frame");
-                let v = frame.locals[*n as usize].clone();
-                frame.stack.push(v);
-                frame.pc += 1;
-                func = Rc::clone(&callee);
-                push_call(proc, st, callee)?;
-                continue;
-            }
-            DOp::CallIndirect => {
-                let fnref = {
-                    let frame = st.frames.last_mut().expect("frame");
-                    frame.pc += 1;
-                    match frame.stack.pop().expect("verified: fn value") {
-                        Value::Fn(r) => r,
-                        v => panic!("verified code called non-function {v:?}"),
-                    }
-                };
-                let id = proc.deref_fn(fnref)?;
-                if matches!(fnref, FnRef::Slot(_)) {
-                    proc.stats.slot_calls += 1;
-                }
-                let callee = Rc::clone(proc.function(id));
-                func = Rc::clone(&callee);
-                push_call(proc, st, callee)?;
-                continue;
-            }
-            DOp::Ret => {
+        let ExecState {
+            frames, host_args, ..
+        } = &mut *st;
+        let frame = frames.last_mut().expect("at least one frame");
+        match run_frame(proc, frame, host_args, generation, honor_updates)? {
+            Transfer::Call(callee) => push_call(proc, st, callee)?,
+            Transfer::Ret => {
                 let mut frame = st.frames.pop().expect("frame");
                 let ret = frame.stack.pop().expect("verified: return value");
-                if proc.profiler.is_some() {
-                    let instrs = proc.stats.instrs;
-                    if let Some(p) = proc.profiler.as_deref_mut() {
-                        p.on_ret(instrs);
-                    }
+                if let Some(p) = proc.profiler.as_deref_mut() {
+                    p.on_ret(proc.stats.instrs);
                 }
                 // Recycle the frame's buffers for future calls.
                 if st.pool.len() < 64 {
@@ -347,52 +369,399 @@ pub(crate) fn exec(
                     st.pool.push((frame.locals, frame.stack));
                 }
                 match st.frames.last_mut() {
-                    Some(caller) => {
-                        caller.stack.push(ret);
-                        func = Rc::clone(&caller.func);
-                    }
+                    Some(caller) => caller.stack.push(ret),
                     None => return Ok(Outcome::Done(ret)),
                 }
-                continue;
             }
+            Transfer::Suspend => {
+                if let Some(p) = proc.profiler.as_deref_mut() {
+                    p.on_suspend(proc.stats.instrs);
+                }
+                return Ok(Outcome::Suspended);
+            }
+        }
+    }
+}
+
+/// The dispatch loop: runs `frame` until it calls, returns, suspends or
+/// traps. The instruction counter and `pc` live in locals while it runs;
+/// every way out stores them back first.
+#[inline(never)]
+#[allow(clippy::too_many_lines)]
+fn run_frame(
+    proc: &mut Process,
+    frame: &mut Frame,
+    host_args: &mut Vec<Value>,
+    generation: u64,
+    honor_updates: bool,
+) -> Result<Transfer, Trap> {
+    let Frame {
+        func,
+        pc: frame_pc,
+        locals,
+        stack,
+    } = frame;
+    let code = func.decoded.as_slice();
+    // The instruction pointer is the tail of `code` still to run: fetching
+    // is `next()`, and the one bounds check left is on taken branches.
+    let mut ip = code[*frame_pc..].iter();
+    let mut instrs = proc.stats.instrs;
+    let fuel = proc.fuel_limit();
+    let exit: Result<Transfer, Trap> = 'run: loop {
+        // Index of the next instruction.
+        macro_rules! pc {
+            () => {
+                code.len() - ip.len()
+            };
+        }
+        macro_rules! trap {
+            ($t:expr) => {
+                break 'run Err($t)
+            };
+        }
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(t) => trap!(t),
+                }
+            };
+        }
+        // `Vec::push` carries its argument across the capacity check in a
+        // stack temporary, written field by field and read back as one
+        // wide load: a store-forwarding stall on every push. Extending
+        // by a lazy one-shot iterator reserves first and then builds the
+        // value straight into its slot.
+        macro_rules! push {
+            ($v:expr) => {
+                stack.extend(std::iter::once_with(|| $v))
+            };
+        }
+        // Integers — what loops are made of — are tested first: one
+        // predictable branch instead of `Clone`'s jump table.
+        macro_rules! push_clone {
+            ($v:expr) => {
+                match $v {
+                    Value::Int(n) => push!(Value::Int(*n)),
+                    v => push!(v.clone()),
+                }
+            };
+        }
+        // Integer arithmetic rewrites the left operand where it lies.
+        macro_rules! int_binop {
+            ($f:expr) => {{
+                let b = pop!(stack, Int);
+                let a = top_int(stack);
+                *a = $f(*a, b);
+            }};
+        }
+        // A pending lazy transformer re-enters the interpreter: store the
+        // counters first, and pick up what the nested run counted.
+        macro_rules! settle_global {
+            ($id:expr) => {
+                if let Some(fid) = proc.global_cell($id).pending_transform {
+                    *frame_pc = pc!();
+                    proc.stats.instrs = instrs;
+                    let done = run_pending_transform(proc, $id, fid);
+                    instrs = proc.stats.instrs;
+                    tri!(done);
+                }
+            };
+        }
+
+        let op = ip.next().expect("verified code ends in a return");
+        instrs += 1;
+        if instrs >= fuel {
+            trap!(Trap::OutOfFuel);
+        }
+        match op {
+            // ------------------------------------ calls and frame exits
+            DOp::CallDirect(id) => break 'run Ok(Transfer::Call(Rc::clone(proc.function(*id)))),
+            DOp::CallSlot(ic) => {
+                let callee = resolve_slot_call(proc, ic, generation, &func.name, pc!() - 1);
+                break 'run callee.map(Transfer::Call);
+            }
+            DOp::LoadLocalCallDirect(n, id) => {
+                push_clone!(&locals[*n as usize]);
+                break 'run Ok(Transfer::Call(Rc::clone(proc.function(*id))));
+            }
+            DOp::LoadLocalCallSlot(n, ic) => {
+                let callee = resolve_slot_call(proc, ic, generation, &func.name, pc!() - 1);
+                push_clone!(&locals[*n as usize]);
+                break 'run callee.map(Transfer::Call);
+            }
+            DOp::CallIndirect => {
+                let fnref = pop!(stack, Fn);
+                let id = tri!(proc.deref_fn(fnref));
+                if matches!(fnref, FnRef::Slot(_)) {
+                    proc.stats.slot_calls += 1;
+                }
+                break 'run Ok(Transfer::Call(Rc::clone(proc.function(id))));
+            }
+            DOp::Ret => break 'run Ok(Transfer::Ret),
             DOp::UpdatePoint => {
                 proc.stats.update_points += 1;
-                st.frames.last_mut().expect("frame").pc += 1;
                 if honor_updates && proc.update_requested() {
-                    if proc.profiler.is_some() {
-                        let instrs = proc.stats.instrs;
-                        if let Some(p) = proc.profiler.as_deref_mut() {
-                            p.on_suspend(instrs);
-                        }
-                    }
-                    return Ok(Outcome::Suspended);
+                    break 'run Ok(Transfer::Suspend);
                 }
-                continue;
             }
             DOp::CallHost(id, argc) => {
                 // Host arguments marshal through a reusable scratch
                 // buffer: the host-call path allocates no more than the
                 // frame-pooled guest-call path does.
-                let ExecState {
-                    frames, host_args, ..
-                } = st;
-                let frame = frames.last_mut().expect("frame");
-                frame.pc += 1;
-                let at = frame.stack.len() - *argc as usize;
+                let at = stack.len() - *argc as usize;
                 host_args.clear();
-                host_args.extend(frame.stack.drain(at..));
+                host_args.extend(stack.drain(at..));
                 proc.stats.host_calls += 1;
-                let ret = (proc.hosts[id.0 as usize].func)(host_args)?;
+                *frame_pc = pc!();
+                proc.stats.instrs = instrs;
+                let ret = tri!((proc.hosts[id.0 as usize].func)(host_args));
                 host_args.clear();
-                frame.stack.push(ret);
-                continue;
+                push!(ret);
             }
-            _ => {}
-        }
 
-        let frame = st.frames.last_mut().expect("frame");
-        step_local(proc, frame, op)?;
-    }
+            // ------------------------------------------ superinstructions
+            DOp::CmpConstBranch(c, k, t) => {
+                if !c.eval(pop!(stack, Int), *k) {
+                    ip = code[*t as usize..].iter();
+                }
+            }
+            DOp::CmpBranch(c, t) => {
+                let b = pop!(stack, Int);
+                let a = pop!(stack, Int);
+                if !c.eval(a, b) {
+                    ip = code[*t as usize..].iter();
+                }
+            }
+            DOp::AddConst(k) => {
+                let a = top_int(stack);
+                *a = a.wrapping_add(*k);
+            }
+            DOp::SubConst(k) => {
+                let a = top_int(stack);
+                *a = a.wrapping_sub(*k);
+            }
+            DOp::MulConst(k) => {
+                let a = top_int(stack);
+                *a = a.wrapping_mul(*k);
+            }
+            DOp::CmpConst(c, k) => {
+                let a = pop!(stack, Int);
+                push!(Value::Bool(c.eval(a, *k)));
+            }
+            DOp::LoadLocal2(n, m) => {
+                push_clone!(&locals[*n as usize]);
+                push_clone!(&locals[*m as usize]);
+            }
+            DOp::LocalGetField(r, f) => {
+                let v = tri!(record_field(&locals[*r as usize], *f));
+                push!(Value::clone(&v));
+            }
+            DOp::LocalArrayGet(a, i) => {
+                let i = locals[*i as usize].as_int();
+                let v = tri!(array_elem(&locals[*a as usize], i));
+                push!(Value::clone(&v));
+            }
+            DOp::GlobalArrayGet(id, i) => {
+                settle_global!(*id);
+                let i = locals[*i as usize].as_int();
+                let v = tri!(array_elem(&proc.global_cell(*id).value, i));
+                push!(Value::clone(&v));
+            }
+            DOp::LocalArrayLen(a) => push!(array_len(&locals[*a as usize])),
+
+            // ---------------------------------------------------- the rest
+            DOp::PushUnit => push!(Value::Unit),
+            DOp::PushInt(n) => push!(Value::Int(*n)),
+            DOp::PushBool(b) => push!(Value::Bool(*b)),
+            DOp::PushStr(s) => push!(Value::Str(Rc::clone(s))),
+            DOp::PushNull => push!(Value::Null),
+            DOp::PushFnDirect(id) => push!(Value::Fn(FnRef::Direct(*id))),
+            DOp::PushFnSlot(slot) => push!(Value::Fn(FnRef::Slot(*slot))),
+            DOp::LoadLocal(n) => push_clone!(&locals[*n as usize]),
+            DOp::StoreLocal(n) => match (stack.last(), &mut locals[*n as usize]) {
+                (Some(Value::Int(_)), Value::Int(slot)) => *slot = pop!(stack, Int),
+                (_, slot) => *slot = stack.pop().expect("verified"),
+            },
+            DOp::LoadGlobal(id) => {
+                settle_global!(*id);
+                push!(proc.global_cell(*id).value.clone());
+            }
+            DOp::StoreGlobal(id) => {
+                let cell = proc.global_cell_mut(*id);
+                // A whole-value overwrite by (necessarily new) code
+                // supersedes any pending lazy transform.
+                cell.pending_transform = None;
+                cell.value = stack.pop().expect("verified");
+            }
+            DOp::Dup => {
+                let v = stack.last().expect("verified").clone();
+                push!(v);
+            }
+            DOp::Pop => {
+                stack.pop().expect("verified");
+            }
+            DOp::Swap => {
+                let n = stack.len();
+                stack.swap(n - 1, n - 2);
+            }
+            DOp::Add => int_binop!(i64::wrapping_add),
+            DOp::Sub => int_binop!(i64::wrapping_sub),
+            DOp::Mul => int_binop!(i64::wrapping_mul),
+            DOp::Div | DOp::Rem if matches!(stack.last(), Some(Value::Int(0))) => {
+                trap!(Trap::DivByZero);
+            }
+            DOp::Div => int_binop!(i64::wrapping_div),
+            DOp::Rem => int_binop!(i64::wrapping_rem),
+            DOp::Neg => {
+                let a = top_int(stack);
+                *a = a.wrapping_neg();
+            }
+            DOp::IntCmp(c) => {
+                let b = pop!(stack, Int);
+                let a = pop!(stack, Int);
+                push!(Value::Bool(c.eval(a, b)));
+            }
+            DOp::And => {
+                let b = pop!(stack, Bool);
+                let a = pop!(stack, Bool);
+                push!(Value::Bool(a && b));
+            }
+            DOp::Or => {
+                let b = pop!(stack, Bool);
+                let a = pop!(stack, Bool);
+                push!(Value::Bool(a || b));
+            }
+            DOp::Not => {
+                let a = pop!(stack, Bool);
+                push!(Value::Bool(!a));
+            }
+            DOp::Concat => {
+                let b = pop!(stack, Str);
+                let a = pop!(stack, Str);
+                let mut s = String::with_capacity(a.len() + b.len());
+                s.push_str(&a);
+                s.push_str(&b);
+                push!(Value::str(s));
+            }
+            DOp::StrLen => {
+                let s = pop!(stack, Str);
+                push!(Value::Int(s.len() as i64));
+            }
+            DOp::Substr => {
+                let len = pop!(stack, Int);
+                let start = pop!(stack, Int);
+                let s = pop!(stack, Str);
+                let start = start.clamp(0, s.len() as i64) as usize;
+                let end = (start as i64 + len.max(0)).clamp(start as i64, s.len() as i64) as usize;
+                // Clamp to char boundaries to keep the operation total on UTF-8.
+                let start = floor_char_boundary(&s, start);
+                let end = floor_char_boundary(&s, end);
+                push!(Value::str(&s[start..end]));
+            }
+            DOp::CharAt => {
+                let i = pop!(stack, Int);
+                let s = pop!(stack, Str);
+                if i < 0 || i as usize >= s.len() {
+                    trap!(Trap::IndexOutOfBounds {
+                        index: i,
+                        len: s.len(),
+                    });
+                }
+                push!(Value::Int(i64::from(s.as_bytes()[i as usize])));
+            }
+            DOp::StrEq => {
+                let b = pop!(stack, Str);
+                let a = pop!(stack, Str);
+                push!(Value::Bool(a == b));
+            }
+            DOp::StrFind => {
+                let needle = pop!(stack, Str);
+                let hay = pop!(stack, Str);
+                let pos = hay.find(&*needle).map_or(-1, |p| p as i64);
+                push!(Value::Int(pos));
+            }
+            DOp::IntToStr => {
+                let n = pop!(stack, Int);
+                push!(Value::str(n.to_string()));
+            }
+            DOp::StrToInt => {
+                let s = pop!(stack, Str);
+                push!(Value::Int(atoi(&s)));
+            }
+            DOp::Jump(t) => ip = code[*t as usize..].iter(),
+            DOp::JumpIfFalse(t) => {
+                if !pop!(stack, Bool) {
+                    ip = code[*t as usize..].iter();
+                }
+            }
+            DOp::NewRecord(sid, n) => {
+                let at = stack.len() - *n as usize;
+                let fields = stack.split_off(at);
+                push!(Value::record(*sid, fields));
+            }
+            DOp::GetField(i) => {
+                let r = stack.pop().expect("verified");
+                let v = tri!(record_field(&r, *i));
+                push!(Value::clone(&v));
+            }
+            DOp::SetField(i) => {
+                let v = stack.pop().expect("verified");
+                match stack.pop().expect("verified") {
+                    Value::Record(rec) => rec.fields.borrow_mut()[*i as usize] = v,
+                    Value::Null => trap!(Trap::NullDeref),
+                    other => panic!("verified code wrote field of {other:?}"),
+                }
+            }
+            DOp::IsNull => {
+                let r = stack.pop().expect("verified");
+                push!(Value::Bool(matches!(r, Value::Null)));
+            }
+            DOp::NewArray => push!(Value::empty_array()),
+            DOp::ArrayGet => {
+                let i = pop!(stack, Int);
+                let a = stack.pop().expect("verified");
+                let v = tri!(array_elem(&a, i));
+                push!(Value::clone(&v));
+            }
+            DOp::ArraySet => {
+                let v = stack.pop().expect("verified");
+                let i = pop!(stack, Int);
+                let a = stack.pop().expect("verified");
+                let Value::Array(a) = a else {
+                    panic!("verified code indexed {a:?}")
+                };
+                let mut a = a.borrow_mut();
+                if i < 0 || i as usize >= a.len() {
+                    trap!(Trap::IndexOutOfBounds {
+                        index: i,
+                        len: a.len(),
+                    });
+                }
+                a[i as usize] = v;
+            }
+            DOp::ArrayLen => {
+                let a = stack.pop().expect("verified");
+                push!(array_len(&a));
+            }
+            DOp::ArrayPush => {
+                let v = stack.pop().expect("verified");
+                let a = stack.pop().expect("verified");
+                let Value::Array(a) = a else {
+                    panic!("verified code pushed to {a:?}")
+                };
+                a.borrow_mut().push(v);
+            }
+            DOp::Nop => {}
+            DOp::Unreachable => {
+                trap!(Trap::Host("garbage-collected code executed".to_string()));
+            }
+        }
+    };
+
+    *frame_pc = code.len() - ip.len();
+    proc.stats.instrs = instrs;
+    exit
 }
 
 fn push_call(
@@ -414,320 +783,28 @@ fn push_call(
             <(Vec<Value>, Vec<Value>)>::default()
         }
     };
-    if proc.profiler.is_some() {
-        let instrs = proc.stats.instrs;
-        if let Some(p) = proc.profiler.as_deref_mut() {
-            p.on_call(instrs, &callee.name);
-        }
+    if let Some(p) = proc.profiler.as_deref_mut() {
+        p.on_call(proc.stats.instrs, &callee.name);
     }
     let caller = st.frames.last_mut().expect("frame");
     let at = caller.stack.len() - callee.param_count;
     locals.extend(caller.stack.drain(at..));
-    for ty in &callee.locals[callee.param_count..] {
-        locals.push(Value::default_for(ty));
-    }
+    // String locals share the process's one empty string rather than going
+    // through `default_for`'s thread-local on every call.
+    locals.extend(
+        callee.locals[callee.param_count..]
+            .iter()
+            .map(|ty| match ty {
+                Ty::Str => Value::Str(Rc::clone(proc.empty_str())),
+                ty => Value::default_for(ty),
+            }),
+    );
     st.frames.push(Frame {
         func: callee,
         pc: 0,
         locals,
         stack,
     });
-    Ok(())
-}
-
-/// Executes an instruction that touches only the current frame (and the
-/// process's globals). `proc.stats` is already incremented.
-#[allow(clippy::too_many_lines)]
-fn step_local(proc: &mut Process, frame: &mut Frame, op: &DOp) -> Result<(), Trap> {
-    let stack = &mut frame.stack;
-    macro_rules! int_binop {
-        ($f:expr) => {{
-            let b = stack.pop().expect("verified").as_int();
-            let a = stack.pop().expect("verified").as_int();
-            stack.push($f(a, b));
-        }};
-    }
-    match op {
-        // ---------------------------------------------- superinstructions
-        DOp::CmpConstBranch(c, k, t) => {
-            let a = stack.pop().expect("verified").as_int();
-            if !c.eval(a, *k) {
-                frame.pc = *t as usize;
-                return Ok(());
-            }
-        }
-        DOp::CmpBranch(c, t) => {
-            let b = stack.pop().expect("verified").as_int();
-            let a = stack.pop().expect("verified").as_int();
-            if !c.eval(a, b) {
-                frame.pc = *t as usize;
-                return Ok(());
-            }
-        }
-        DOp::AddConst(k) => {
-            let a = stack.pop().expect("verified").as_int();
-            stack.push(Value::Int(a.wrapping_add(*k)));
-        }
-        DOp::SubConst(k) => {
-            let a = stack.pop().expect("verified").as_int();
-            stack.push(Value::Int(a.wrapping_sub(*k)));
-        }
-        DOp::MulConst(k) => {
-            let a = stack.pop().expect("verified").as_int();
-            stack.push(Value::Int(a.wrapping_mul(*k)));
-        }
-        DOp::CmpConst(c, k) => {
-            let a = stack.pop().expect("verified").as_int();
-            stack.push(Value::Bool(c.eval(a, *k)));
-        }
-        DOp::LoadLocal2(n, m) => {
-            let a = frame.locals[*n as usize].clone();
-            let b = frame.locals[*m as usize].clone();
-            stack.push(a);
-            stack.push(b);
-        }
-
-        // ------------------------------------------------------ the rest
-        DOp::PushUnit => stack.push(Value::Unit),
-        DOp::PushInt(n) => stack.push(Value::Int(*n)),
-        DOp::PushBool(b) => stack.push(Value::Bool(*b)),
-        DOp::PushStr(s) => stack.push(Value::Str(Rc::clone(s))),
-        DOp::PushNull => stack.push(Value::Null),
-        DOp::PushFnDirect(id) => stack.push(Value::Fn(FnRef::Direct(*id))),
-        DOp::PushFnSlot(slot) => stack.push(Value::Fn(FnRef::Slot(*slot))),
-        DOp::LoadLocal(n) => {
-            let v = frame.locals[*n as usize].clone();
-            stack.push(v);
-        }
-        DOp::StoreLocal(n) => {
-            frame.locals[*n as usize] = stack.pop().expect("verified");
-        }
-        DOp::LoadGlobal(id) => {
-            // Lazy state transformation: a pending transformer runs on
-            // first read (the flag clears first, so the transformer may
-            // itself read this global and see the old value).
-            if let Some(fid) = proc.global_cell(*id).pending_transform {
-                let cell = proc.global_cell_mut(*id);
-                cell.pending_transform = None;
-                let old = cell.value.clone();
-                let new = proc.call_fid(fid, vec![old])?;
-                proc.global_cell_mut(*id).value = new;
-            }
-            let v = proc.global_cell(*id).value.clone();
-            stack.push(v);
-        }
-        DOp::StoreGlobal(id) => {
-            let v = stack.pop().expect("verified");
-            let cell = proc.global_cell_mut(*id);
-            // A whole-value overwrite by (necessarily new) code supersedes
-            // any pending lazy transform.
-            cell.pending_transform = None;
-            cell.value = v;
-        }
-        DOp::Dup => {
-            let v = stack.last().expect("verified").clone();
-            stack.push(v);
-        }
-        DOp::Pop => {
-            stack.pop().expect("verified");
-        }
-        DOp::Swap => {
-            let n = stack.len();
-            stack.swap(n - 1, n - 2);
-        }
-        DOp::Add => int_binop!(|a: i64, b: i64| Value::Int(a.wrapping_add(b))),
-        DOp::Sub => int_binop!(|a: i64, b: i64| Value::Int(a.wrapping_sub(b))),
-        DOp::Mul => int_binop!(|a: i64, b: i64| Value::Int(a.wrapping_mul(b))),
-        DOp::Div => {
-            let b = stack.pop().expect("verified").as_int();
-            let a = stack.pop().expect("verified").as_int();
-            if b == 0 {
-                return Err(Trap::DivByZero);
-            }
-            stack.push(Value::Int(a.wrapping_div(b)));
-        }
-        DOp::Rem => {
-            let b = stack.pop().expect("verified").as_int();
-            let a = stack.pop().expect("verified").as_int();
-            if b == 0 {
-                return Err(Trap::DivByZero);
-            }
-            stack.push(Value::Int(a.wrapping_rem(b)));
-        }
-        DOp::Neg => {
-            let a = stack.pop().expect("verified").as_int();
-            stack.push(Value::Int(a.wrapping_neg()));
-        }
-        DOp::IntCmp(c) => int_binop!(|a, b| Value::Bool(c.eval(a, b))),
-        DOp::And => {
-            let b = stack.pop().expect("verified").as_bool();
-            let a = stack.pop().expect("verified").as_bool();
-            stack.push(Value::Bool(a && b));
-        }
-        DOp::Or => {
-            let b = stack.pop().expect("verified").as_bool();
-            let a = stack.pop().expect("verified").as_bool();
-            stack.push(Value::Bool(a || b));
-        }
-        DOp::Not => {
-            let a = stack.pop().expect("verified").as_bool();
-            stack.push(Value::Bool(!a));
-        }
-        DOp::Concat => {
-            let b = stack.pop().expect("verified").as_str();
-            let a = stack.pop().expect("verified").as_str();
-            let mut s = String::with_capacity(a.len() + b.len());
-            s.push_str(&a);
-            s.push_str(&b);
-            stack.push(Value::str(s));
-        }
-        DOp::StrLen => {
-            let s = stack.pop().expect("verified").as_str();
-            stack.push(Value::Int(s.len() as i64));
-        }
-        DOp::Substr => {
-            let len = stack.pop().expect("verified").as_int();
-            let start = stack.pop().expect("verified").as_int();
-            let s = stack.pop().expect("verified").as_str();
-            let start = start.clamp(0, s.len() as i64) as usize;
-            let end = (start as i64 + len.max(0)).clamp(start as i64, s.len() as i64) as usize;
-            // Clamp to char boundaries to keep the operation total on UTF-8.
-            let start = floor_char_boundary(&s, start);
-            let end = floor_char_boundary(&s, end);
-            stack.push(Value::str(&s[start..end]));
-        }
-        DOp::CharAt => {
-            let i = stack.pop().expect("verified").as_int();
-            let s = stack.pop().expect("verified").as_str();
-            if i < 0 || i as usize >= s.len() {
-                return Err(Trap::IndexOutOfBounds {
-                    index: i,
-                    len: s.len(),
-                });
-            }
-            stack.push(Value::Int(i64::from(s.as_bytes()[i as usize])));
-        }
-        DOp::StrEq => {
-            let b = stack.pop().expect("verified").as_str();
-            let a = stack.pop().expect("verified").as_str();
-            stack.push(Value::Bool(a == b));
-        }
-        DOp::StrFind => {
-            let needle = stack.pop().expect("verified").as_str();
-            let hay = stack.pop().expect("verified").as_str();
-            let pos = hay.find(&*needle).map_or(-1, |p| p as i64);
-            stack.push(Value::Int(pos));
-        }
-        DOp::IntToStr => {
-            let n = stack.pop().expect("verified").as_int();
-            stack.push(Value::str(n.to_string()));
-        }
-        DOp::StrToInt => {
-            let s = stack.pop().expect("verified").as_str();
-            stack.push(Value::Int(atoi(&s)));
-        }
-        DOp::Jump(t) => {
-            frame.pc = *t as usize;
-            return Ok(());
-        }
-        DOp::JumpIfFalse(t) => {
-            let c = stack.pop().expect("verified").as_bool();
-            if !c {
-                frame.pc = *t as usize;
-                return Ok(());
-            }
-        }
-        DOp::NewRecord(sid, n) => {
-            let at = stack.len() - *n as usize;
-            let fields = stack.split_off(at);
-            stack.push(Value::record(*sid, fields));
-        }
-        DOp::GetField(i) => {
-            let r = stack.pop().expect("verified");
-            match r {
-                Value::Record(rec) => {
-                    let v = rec.fields.borrow()[*i as usize].clone();
-                    stack.push(v);
-                }
-                Value::Null => return Err(Trap::NullDeref),
-                v => panic!("verified code read field of {v:?}"),
-            }
-        }
-        DOp::SetField(i) => {
-            let v = stack.pop().expect("verified");
-            let r = stack.pop().expect("verified");
-            match r {
-                Value::Record(rec) => rec.fields.borrow_mut()[*i as usize] = v,
-                Value::Null => return Err(Trap::NullDeref),
-                other => panic!("verified code wrote field of {other:?}"),
-            }
-        }
-        DOp::IsNull => {
-            let r = stack.pop().expect("verified");
-            stack.push(Value::Bool(matches!(r, Value::Null)));
-        }
-        DOp::NewArray => stack.push(Value::empty_array()),
-        DOp::ArrayGet => {
-            let i = stack.pop().expect("verified").as_int();
-            let a = stack.pop().expect("verified");
-            let Value::Array(a) = a else {
-                panic!("verified code indexed {a:?}")
-            };
-            let a = a.borrow();
-            if i < 0 || i as usize >= a.len() {
-                return Err(Trap::IndexOutOfBounds {
-                    index: i,
-                    len: a.len(),
-                });
-            }
-            stack.push(a[i as usize].clone());
-        }
-        DOp::ArraySet => {
-            let v = stack.pop().expect("verified");
-            let i = stack.pop().expect("verified").as_int();
-            let a = stack.pop().expect("verified");
-            let Value::Array(a) = a else {
-                panic!("verified code indexed {a:?}")
-            };
-            let mut a = a.borrow_mut();
-            if i < 0 || i as usize >= a.len() {
-                return Err(Trap::IndexOutOfBounds {
-                    index: i,
-                    len: a.len(),
-                });
-            }
-            a[i as usize] = v;
-        }
-        DOp::ArrayLen => {
-            let a = stack.pop().expect("verified");
-            let Value::Array(a) = a else {
-                panic!("verified code measured {a:?}")
-            };
-            let n = a.borrow().len();
-            stack.push(Value::Int(n as i64));
-        }
-        DOp::ArrayPush => {
-            let v = stack.pop().expect("verified");
-            let a = stack.pop().expect("verified");
-            let Value::Array(a) = a else {
-                panic!("verified code pushed to {a:?}")
-            };
-            a.borrow_mut().push(v);
-        }
-        DOp::Nop => {}
-        DOp::Unreachable => {
-            return Err(Trap::Host("garbage-collected code executed".to_string()));
-        }
-        DOp::CallDirect(_)
-        | DOp::CallSlot(_)
-        | DOp::LoadLocalCallDirect(_, _)
-        | DOp::LoadLocalCallSlot(_, _)
-        | DOp::CallIndirect
-        | DOp::CallHost(_, _)
-        | DOp::Ret
-        | DOp::UpdatePoint => unreachable!("handled by the outer loop"),
-    }
-    frame.pc += 1;
     Ok(())
 }
 

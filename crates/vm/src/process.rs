@@ -177,6 +177,8 @@ pub struct Process {
     /// Opt-in hot-path profiler (`None` = disarmed, the default; the
     /// interpreter pays one pointer-null check per call/return edge).
     pub(crate) profiler: Option<Box<Profiler>>,
+    /// The empty string every string-typed local of a new frame starts as.
+    empty_str: Rc<str>,
 }
 
 impl Process {
@@ -203,6 +205,7 @@ impl Process {
             max_stack_depth: 10_000,
             fuel_limit: u64::MAX,
             profiler: None,
+            empty_str: Rc::from(""),
         }
     }
 
@@ -253,6 +256,10 @@ impl Process {
 
     pub(crate) fn fuel_limit(&self) -> u64 {
         self.fuel_limit
+    }
+
+    pub(crate) fn empty_str(&self) -> &Rc<str> {
+        &self.empty_str
     }
 
     // ---------------------------------------------------------------- hosts
@@ -664,9 +671,10 @@ impl Process {
         }
     }
 
-    /// Restores bindings captured by [`Process::snapshot`]. Code and type
-    /// registrations added since remain in the stores (unreachable), exactly
-    /// like aborted patches in the paper's linker.
+    /// Restores bindings captured by [`Process::snapshot`]. Code, type
+    /// registrations and global cells added since remain in the stores
+    /// (unreachable by name), exactly like aborted patches in the paper's
+    /// linker.
     ///
     /// # Panics
     /// Panics if slots were created since the snapshot was taken *and* the
@@ -685,6 +693,12 @@ impl Process {
         self.struct_by_name = snap.struct_by_name;
         for (i, cell) in snap.globals.iter().enumerate() {
             self.globals[i] = cell.clone();
+        }
+        // Globals added after the snapshot keep their cells (frames finishing
+        // under the newer code may still index them) but lose their names, so
+        // a later patch can introduce them again.
+        for cell in &self.globals[snap.globals.len()..] {
+            self.global_by_name.remove(&cell.name);
         }
     }
 

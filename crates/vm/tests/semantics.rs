@@ -520,3 +520,255 @@ fn disabling_inline_caching_falls_back_to_table_lookups() {
     assert_eq!(p.call("work", vec![Value::Int(0)]).unwrap(), Value::Int(2));
     assert!(p.stats.ic_misses >= 1);
 }
+
+#[test]
+fn restore_unbinds_globals_added_after_the_snapshot() {
+    // Whether the snapshot is restored directly or after a trip through
+    // the codec, a global introduced since can be introduced again; its
+    // old cell stays for code that already indexes it.
+    for through_codec in [false, true] {
+        let mut p = boot("global g: int = 1; fun f(): int { return g; }");
+        let snap = p.snapshot();
+        let snap = if through_codec {
+            vm::decode_snapshot(&vm::encode_snapshot(&snap)).unwrap()
+        } else {
+            snap
+        };
+        p.add_global("cache", tal::Ty::Int, Value::Int(7)).unwrap();
+        patch(
+            &mut p,
+            "global cache: int = 0; fun peek(): int { return cache; }",
+        );
+        assert_eq!(p.call("peek", vec![]).unwrap(), Value::Int(7));
+        let cells = p.globals().count();
+
+        p.restore(snap);
+        assert_eq!(p.global_value("cache"), None, "codec={through_codec}");
+        assert_eq!(p.global_value("g"), Some(Value::Int(1)));
+        assert_eq!(p.globals().count(), cells, "the cell itself stays");
+        p.add_global("cache", tal::Ty::Int, Value::Int(9))
+            .expect("the name is free again");
+        assert_eq!(p.global_value("cache"), Some(Value::Int(9)));
+    }
+}
+
+// ------------------------- accounting and resume -------------------------
+//
+// The dispatch loop keeps the instruction counter and the frame's `pc` in
+// locals. These tests pin what that must not change: `stats.instrs` counts
+// one per decoded op and is stored on every way out of the loop, fuel is
+// exact across frames, and a suspended frame resumes where it stopped.
+
+/// Decoded ops a call of straight-line `func` retires up to and including
+/// the first op `stop` matches.
+fn ops_through(p: &Process, func: &str, stop: impl Fn(&vm::DOp) -> bool) -> u64 {
+    let id = p.function_id(func).expect("bound");
+    let at = p.function(id).decoded.iter().position(stop);
+    at.expect("op present") as u64 + 1
+}
+
+#[test]
+fn instrs_are_stored_on_every_exit_path() {
+    use vm::DOp;
+    let src = r#"
+        struct rec { a: int }
+        extern fun boom(): int;
+        fun done(): int { return 1; }
+        fun div(x: int): int { return 7 / x; }
+        fun null_field(): int { var r: rec = null; return r.a; }
+        fun bounds(i: int): int { var a: [int] = [1]; return a[i]; }
+        fun host(): int { return boom() + 1; }
+        fun pause(): int { update; return 1; }
+    "#;
+    let mut iface = Interface::new();
+    iface
+        .hosts
+        .insert("boom".into(), tal::FnSig::new(vec![], tal::Ty::Int));
+    let m = popcorn::compile(src, "t", "v1", &iface).expect("compiles");
+    let mut p = Process::new(LinkMode::Updateable);
+    p.register_host(
+        "boom",
+        tal::FnSig::new(vec![], tal::Ty::Int),
+        Box::new(|_| Err(Trap::Host("boom".into()))),
+    );
+    p.load_module(&m).expect("links");
+
+    let mut expect = p.stats.instrs;
+    expect += ops_through(&p, "done", |d| matches!(d, DOp::Ret));
+    assert_eq!(p.call("done", vec![]).unwrap(), Value::Int(1));
+    assert_eq!(p.stats.instrs, expect, "Done");
+
+    expect += ops_through(&p, "div", |d| matches!(d, DOp::Div));
+    assert_eq!(
+        p.call("div", vec![Value::Int(0)]).unwrap_err(),
+        Trap::DivByZero
+    );
+    assert_eq!(p.stats.instrs, expect, "DivByZero");
+
+    expect += ops_through(&p, "null_field", |d| matches!(d, DOp::LocalGetField(..)));
+    assert_eq!(p.call("null_field", vec![]).unwrap_err(), Trap::NullDeref);
+    assert_eq!(p.stats.instrs, expect, "NullDeref");
+
+    expect += ops_through(&p, "bounds", |d| matches!(d, DOp::LocalArrayGet(..)));
+    assert!(matches!(
+        p.call("bounds", vec![Value::Int(4)]).unwrap_err(),
+        Trap::IndexOutOfBounds { index: 4, len: 1 }
+    ));
+    assert_eq!(p.stats.instrs, expect, "IndexOutOfBounds");
+
+    expect += ops_through(&p, "host", |d| matches!(d, DOp::CallHost(..)));
+    assert_eq!(
+        p.call("host", vec![]).unwrap_err(),
+        Trap::Host("boom".into())
+    );
+    assert_eq!(p.stats.instrs, expect, "host call");
+    assert_eq!(p.stats.host_calls, 1);
+
+    expect += ops_through(&p, "pause", |d| matches!(d, DOp::UpdatePoint));
+    p.request_update(true);
+    assert_eq!(p.run("pause", vec![]).unwrap(), Outcome::Suspended);
+    assert_eq!(p.stats.instrs, expect, "Suspended");
+    p.request_update(false);
+    expect += ops_through(&p, "pause", |d| matches!(d, DOp::Ret)) - 1;
+    assert_eq!(p.resume().unwrap(), Outcome::Done(Value::Int(1)));
+    assert_eq!(p.stats.instrs, expect, "resumed to Done");
+}
+
+#[test]
+fn nested_runs_add_their_instrs_exactly() {
+    // A lazy transformer re-enters the interpreter from inside a global
+    // read: the outer loop must store its count before and pick the inner
+    // run's count up after.
+    let src = r#"
+        global data: [int] = [1, 2, 3];
+        fun xf(old: [int]): [int] {
+            var out: [int] = new [int];
+            var i: int = 0;
+            while (i < len(old)) { push(out, old[i] + 1); i = i + 1; }
+            return out;
+        }
+        fun read(i: int): int { return data[i]; }
+    "#;
+    let (mut lazy, mut eager) = (boot(src), boot(src));
+    let cost = |p: &mut Process, f: &str, args: Vec<Value>| {
+        let before = p.stats.instrs;
+        p.call(f, args).unwrap();
+        p.stats.instrs - before
+    };
+    let data = eager.global_value("data").unwrap();
+    let xf_cost = cost(&mut eager, "xf", vec![data]);
+    let read_cost = cost(&mut eager, "read", vec![Value::Int(0)]);
+
+    let xf = lazy.function_id("xf").unwrap();
+    assert!(lazy.set_pending_transform("data", xf));
+    assert_eq!(
+        cost(&mut lazy, "read", vec![Value::Int(0)]),
+        read_cost + xf_cost
+    );
+    assert_eq!(cost(&mut lazy, "read", vec![Value::Int(0)]), read_cost);
+}
+
+#[test]
+fn fuel_is_exact_across_a_call_boundary() {
+    let src = r#"
+        fun leaf(x: int): int { return x + 1; }
+        fun f(x: int): int { return leaf(x) * leaf(x + 1); }
+    "#;
+    let mut p = boot(src);
+    p.call("f", vec![Value::Int(1)]).unwrap();
+    let n = p.stats.instrs;
+    assert!(n > 8, "the run crosses two calls and returns: {n}");
+    // With a budget of k <= n the k-th op is the one that traps, wherever
+    // it falls — caller, callee, or the call and return edges themselves.
+    for k in 1..=n {
+        let before = p.stats.instrs;
+        p.set_fuel(Some(k));
+        assert_eq!(
+            p.call("f", vec![Value::Int(1)]).unwrap_err(),
+            Trap::OutOfFuel,
+            "budget {k} of {n}"
+        );
+        assert_eq!(p.stats.instrs - before, k, "budget {k} of {n}");
+    }
+    let before = p.stats.instrs;
+    p.set_fuel(Some(n + 1));
+    assert_eq!(p.call("f", vec![Value::Int(1)]).unwrap(), Value::Int(6));
+    assert_eq!(p.stats.instrs - before, n);
+}
+
+#[test]
+fn patch_while_suspended_resumes_at_the_saved_pc() {
+    let src = r#"
+        global n: int = 0;
+        fun helper(): int { return 1; }
+        fun work(): int {
+            n = n + 1;
+            var a: int = helper();
+            update;
+            n = n + 10;
+            return a * 100 + helper();
+        }
+    "#;
+    let mut p = boot(src);
+    // Warm both call sites.
+    assert_eq!(
+        p.run("work", vec![]).unwrap(),
+        Outcome::Done(Value::Int(101))
+    );
+    p.request_update(true);
+    assert_eq!(p.run("work", vec![]).unwrap(), Outcome::Suspended);
+    p.request_update(false);
+    assert_eq!(p.global_value("n"), Some(Value::Int(12)));
+    let (hits, misses) = (p.stats.ic_hits, p.stats.ic_misses);
+    patch(&mut p, "fun helper(): int { return 2; }");
+    assert_eq!(p.resume().unwrap(), Outcome::Done(Value::Int(102)));
+    // Nothing before the update point ran again, everything after it ran
+    // once, and the one call left went cold with the rebind.
+    assert_eq!(p.global_value("n"), Some(Value::Int(22)));
+    assert_eq!(p.stats.ic_misses, misses + 1);
+    assert_eq!(p.stats.ic_hits, hits);
+}
+
+#[test]
+fn profiler_edges_balance() {
+    let src = r#"
+        fun inner(x: int): int { update; return x + 1; }
+        fun outer(x: int): int { return inner(x) + inner(x); }
+        fun bad(x: int): int { return inner(x) / 0; }
+    "#;
+    let mut p = boot(src);
+    p.set_profiling(true);
+    let armed_at = p.stats.instrs;
+    p.request_update(true);
+    assert_eq!(
+        p.run("outer", vec![Value::Int(1)]).unwrap(),
+        Outcome::Suspended
+    );
+    p.request_update(false);
+    assert_eq!(p.resume().unwrap(), Outcome::Done(Value::Int(4)));
+    assert_eq!(
+        p.call("bad", vec![Value::Int(1)]).unwrap_err(),
+        Trap::DivByZero
+    );
+    assert_eq!(p.call("outer", vec![Value::Int(2)]).unwrap(), Value::Int(6));
+
+    let profile = p.profile().expect("armed");
+    // A missed return edge would nest `inner` under itself; a missed call
+    // edge would charge it to `outer`.
+    let collapsed = profile.collapsed();
+    let stacks: Vec<&str> = collapsed
+        .lines()
+        .map(|l| l.rsplit_once(' ').unwrap().0)
+        .collect();
+    assert_eq!(stacks, ["bad", "bad;inner", "outer", "outer;inner"]);
+    let calls = profile.dispatch_counts();
+    assert_eq!(calls, [("inner".to_string(), 5)]);
+    // Every op is charged except the trapping run's last stretch, which no
+    // edge follows.
+    let charged = profile.total_ops();
+    let retired = p.stats.instrs - armed_at;
+    assert!(
+        charged <= retired && retired - charged <= 3,
+        "{charged} of {retired}"
+    );
+}

@@ -2,7 +2,7 @@
 //! across a live update. Plain timing harness (no external framework).
 
 use dsu_bench::measure::{fmt_dur, time_median};
-use flashed::{patch_stream, versions, Server, SimFs, Workload};
+use flashed::{patch_stream, versions, Server, ServerConfig, SimFs, Workload};
 use vm::LinkMode;
 
 const REQS: usize = 300;
@@ -12,7 +12,8 @@ fn bench_serve() {
     for mode in [LinkMode::Static, LinkMode::Updateable] {
         let fs = SimFs::generate_fixed(32, 1024, 3);
         let mut wl = Workload::new(fs.paths(), 1.0, 17);
-        let mut server = Server::start(mode, &versions::v2(), "v2", fs).expect("boot");
+        let cfg = ServerConfig::new().link_mode(mode);
+        let mut server = Server::start(&cfg, &versions::v2(), "v2", fs).expect("boot");
         let t = time_median(30, || {
             server.push_requests(wl.batch(REQS));
             server.serve().expect("serve");
@@ -32,7 +33,7 @@ fn bench_serve_across_update() {
         let fs = SimFs::generate_fixed(32, 1024, 3);
         let mut wl = Workload::new(fs.paths(), 1.0, 17);
         let mut server =
-            Server::start(LinkMode::Updateable, &versions::v3(), "v3", fs).expect("boot");
+            Server::start(&ServerConfig::new(), &versions::v3(), "v3", fs).expect("boot");
         server.push_requests(wl.batch(REQS));
         server.queue_patch(v3v4.clone());
         server.serve().expect("serve");

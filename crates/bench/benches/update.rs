@@ -7,15 +7,15 @@
 
 use dsu_bench::measure::{fmt_dur, time_median};
 use dsu_core::{apply_patch, PatchGen, UpdatePolicy};
-use flashed::{patch_stream, versions, Server, SimFs, Workload};
-use vm::{LinkMode, ProcessTypes};
+use flashed::{patch_stream, versions, Server, ServerConfig, SimFs, Workload};
+use vm::ProcessTypes;
 
 fn warmed(version_idx: usize) -> Server {
     let all = versions::all();
     let (name, src) = &all[version_idx];
     let fs = SimFs::generate_fixed(16, 512, 5);
     let mut wl = Workload::new(fs.paths(), 1.0, 100);
-    let mut server = Server::start(LinkMode::Updateable, src, name, fs).expect("boot");
+    let mut server = Server::start(&ServerConfig::new(), src, name, fs).expect("boot");
     server.push_requests(wl.batch(100));
     server.serve().expect("warm");
     server

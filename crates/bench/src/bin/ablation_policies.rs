@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dsu_bench::measure::{fmt_dur, row, rule};
 use dsu_core::{apply_patch, PatchGen, TransformTiming, UpdatePolicy};
-use flashed::{patch_stream, versions, Server, SimFs, Workload};
+use flashed::{patch_stream, versions, Server, ServerConfig, SimFs, Workload};
 use vm::{LinkMode, Process, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn warmed_server(version_idx: usize) -> Result<Server, Box<dyn std::error::Error
     let (name, src) = &all[version_idx];
     let fs = SimFs::generate_fixed(32, 1024, 5);
     let mut wl = Workload::new(fs.paths(), 1.0, 100);
-    let mut server = Server::start(LinkMode::Updateable, src, name, fs)?;
+    let mut server = Server::start(&ServerConfig::new(), src, name, fs)?;
     server.push_requests(wl.batch(200));
     server.serve().map_err(|e| e.to_string())?;
     Ok(server)
@@ -137,7 +137,7 @@ fn run_mid_traffic(
 ) -> Result<bool, Box<dyn std::error::Error>> {
     let fs = SimFs::generate_fixed(16, 512, 5);
     let mut wl = Workload::new(fs.paths(), 1.0, 9);
-    let mut server = Server::start(LinkMode::Updateable, src, name, fs)?;
+    let mut server = Server::start(&ServerConfig::new(), src, name, fs)?;
     server.updater = dsu_core::Updater::with_policy(UpdatePolicy {
         verify: true,
         refuse_active,
@@ -152,7 +152,7 @@ fn run_mid_traffic(
 /// request budget), so the suspended frame is among the replaced code.
 fn serve_replacing_patch() -> Result<dsu_core::Patch, Box<dyn std::error::Error>> {
     let fs = SimFs::generate_fixed(4, 128, 5);
-    let probe = Server::start(LinkMode::Updateable, &versions::v5(), "v5", fs)?;
+    let probe = Server::start(&ServerConfig::new(), &versions::v5(), "v5", fs)?;
     let patch = dsu_core::compile_patch(
         r#"
         fun serve(): int {

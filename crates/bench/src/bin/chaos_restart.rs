@@ -31,7 +31,7 @@ use dsu_bench::loadgen::ClosedLoop;
 use dsu_bench::measure::{fmt_dur, row, rule};
 use flashed::{
     patch_stream, versions, CrashPoint, EdgeConfig, FaultPlan, Fleet, FleetConfig, RestartReport,
-    RolloutPolicy, RoutePolicy, SimFs, SupervisorConfig, Workload,
+    RolloutPlan, RoutePolicy, SimFs, SupervisorConfig, Workload,
 };
 
 const FILES: usize = 64;
@@ -138,10 +138,10 @@ fn restart_anatomy(shape: &Shape) -> Result<Vec<RestartReport>, Box<dyn std::err
     let stream = patch_stream()?;
     fleet.push_requests(wl.batch(60));
     fleet
-        .rollout(&stream[0].patch, RolloutPolicy::Rolling)
+        .rollout_plan(&stream[0].patch, &RolloutPlan::rolling())
         .map_err(|e| e.to_string())?;
     fleet
-        .rollout(&stream[1].patch, RolloutPolicy::Rolling)
+        .rollout_plan(&stream[1].patch, &RolloutPlan::rolling())
         .map_err(|e| e.to_string())?;
     fleet.drain(60).map_err(|e| e.to_string())?;
 

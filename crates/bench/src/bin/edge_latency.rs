@@ -1,17 +1,17 @@
 //! Network-edge latency and throughput: sharded routed inboxes vs the
-//! shared ingress queue, a routing-policy latency sweep under open-loop
+//! one shared inbox, a routing-policy latency sweep under open-loop
 //! load, and a staged guarded rollout under peak load.
 //!
 //! Three measurements:
 //!
 //! 1. **Shared vs routed throughput** — the same cache-affinity-bound
 //!    AMPED workload (more distinct files than one worker's buffer cache
-//!    holds, 1 ms simulated device latency per miss) pushed through the
-//!    legacy shared queue and through a consistent-hash routed edge at
-//!    `WORKERS` workers. The shared queue sprays every path across every
+//!    holds, 1 ms simulated device latency per miss) pushed through an
+//!    edgeless fleet's shared inbox and through a consistent-hash routed
+//!    edge at `WORKERS` workers. The shared inbox sprays every path across every
 //!    worker, so each small cache thrashes over the full file set; the
 //!    routed edge pins each path to one worker, whose cache then holds
-//!    its shard. Acceptance: the routed edge must beat the shared queue.
+//!    its shard. Acceptance: the routed edge must beat the shared inbox.
 //! 2. **Routing-policy sweep** — an open-loop generator (deterministic
 //!    exponential inter-arrivals) offers fractions of the measured
 //!    routed capacity against each [`RoutePolicy`]; exact sojourn
@@ -129,7 +129,7 @@ fn one_trial(shape: &Shape, edge: Option<EdgeConfig>) -> Result<f64, Box<dyn std
     }
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).map_err(|e| e.to_string())?;
     // Warm every worker's buffer cache through the same routing the
-    // timed region uses (push_requests feeds the acceptor on a routed
+    // timed region uses (push_requests goes through the edge on a routed
     // fleet, so consistent-hash warms exactly the right shards).
     let warm = 400 * shape.workers;
     fleet.push_requests(wl.batch(warm));
@@ -148,11 +148,11 @@ fn one_trial(shape: &Shape, edge: Option<EdgeConfig>) -> Result<f64, Box<dyn std
     Ok(shape.requests as f64 / elapsed.as_secs_f64())
 }
 
-/// Measurement 1: shared queue vs consistent-hash routed edge.
+/// Measurement 1: shared inbox vs consistent-hash routed edge.
 /// Returns the routed capacity (req/s) the other measurements scale to.
 fn throughput(shape: &Shape) -> Result<f64, Box<dyn std::error::Error>> {
     println!(
-        "Shared queue vs routed edge: {} workers, {} requests, {FILES} files x {DOC_SIZE} B,\n\
+        "Shared inbox vs routed edge: {} workers, {} requests, {FILES} files x {DOC_SIZE} B,\n\
          zipf({ZIPF_ALPHA}), per-worker cache {CACHE_ENTRIES} entries, {READ_LATENCY:?}/miss, \
          best of {} trials\n",
         shape.workers, shape.requests, shape.trials
@@ -172,7 +172,7 @@ fn throughput(shape: &Shape) -> Result<f64, Box<dyn std::error::Error>> {
     let routed =
         best(|| Some(EdgeConfig::new(RoutePolicy::ConsistentHash).queue_capacity(1 << 15)))?;
 
-    row(&["shared queue", &format!("{shared:.0}"), "1.00x"], &widths);
+    row(&["shared inbox", &format!("{shared:.0}"), "1.00x"], &widths);
     row(
         &[
             "routed (consistent-hash)",
@@ -191,13 +191,13 @@ fn throughput(shape: &Shape) -> Result<f64, Box<dyn std::error::Error>> {
     } else {
         assert!(
             ratio > 1.0,
-            "acceptance: routed inboxes must beat the shared queue at {} workers, got {ratio:.2}x",
+            "acceptance: routed inboxes must beat the shared inbox at {} workers, got {ratio:.2}x",
             shape.workers
         );
     }
     println!(
         "\n(consistent-hash pins each path to one worker, so its {CACHE_ENTRIES}-entry cache\n\
-         holds its shard; the shared queue sprays all {FILES} paths across every cache)\n"
+         holds its shard; the shared inbox sprays all {FILES} paths across every cache)\n"
     );
     Ok(routed)
 }
@@ -247,8 +247,8 @@ fn sweep(shape: &Shape, routed_rps: f64) -> Result<Vec<SweepRow>, Box<dyn std::e
             fleet.drain(warm).map_err(|e| e.to_string())?;
             fleet.shared().take_completions();
 
-            // The generator bypasses the acceptor and stamps admission
-            // itself, so queue wait is measured from the client's send.
+            // The generator submits at the edge itself, so queue wait is
+            // measured from the client's send.
             let texts = wl.batch(shape.sweep_requests);
             let mut next = texts.iter().cycle().cloned();
             let edge = Arc::clone(fleet.edge().expect("routed fleet has an edge"));

@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use dsu_bench::measure::{overhead_percent, row, rule, time_interleaved};
-use flashed::{versions, EventLoopConfig, ServeMode, Server, ServerShared, SimFs, Workload};
+use flashed::{versions, EventLoopConfig, ServeMode, Server, ServerConfig, SimFs, Workload};
 use vm::LinkMode;
 
 const REQUESTS: usize = 1500;
@@ -45,8 +45,9 @@ fn static_vs_updateable() -> Result<(), Box<dyn std::error::Error>> {
         // Identical request sequences for both servers.
         let mut wl_s = Workload::new(fs.paths(), 1.0, 17);
         let mut wl_u = Workload::new(fs.paths(), 1.0, 17);
-        let mut flash = Server::start(LinkMode::Static, &versions::v2(), "v2", fs.clone())?;
-        let mut flashed = Server::start(LinkMode::Updateable, &versions::v2(), "v2", fs)?;
+        let static_link = ServerConfig::new().link_mode(LinkMode::Static);
+        let mut flash = Server::start(&static_link, &versions::v2(), "v2", fs.clone())?;
+        let mut flashed = Server::start(&ServerConfig::new(), &versions::v2(), "v2", fs)?;
         let (t_static, t_upd) = time_interleaved(
             REPS,
             || {
@@ -99,14 +100,11 @@ fn blocking_vs_amped() -> Result<(), Box<dyn std::error::Error>> {
 
     let run = |mode: ServeMode| -> Result<Duration, String> {
         let mut wl = Workload::new(fs.paths(), 1.0, 17);
-        let mut server = Server::start_full(
-            LinkMode::Updateable,
-            mode,
+        let mut server = Server::start(
+            &ServerConfig::new().serve_mode(mode),
             &versions::v1(),
             "v1",
             fs.clone(),
-            ServerShared::new(),
-            None,
         )
         .map_err(|e| e.to_string())?;
         let t0 = Instant::now();

@@ -18,9 +18,8 @@ use std::time::Duration;
 use dsu_bench::measure::{fmt_dur, row, rule};
 use dsu_obs::fleet::rollout_timeline;
 use flashed::{
-    parse_response, patch_stream, versions, Server, ServerShared, ServerTelemetry, SimFs, Workload,
+    parse_response, patch_stream, versions, Server, ServerConfig, ServerTelemetry, SimFs, Workload,
 };
-use vm::LinkMode;
 
 const BATCH: usize = 1200;
 const BUCKET: Duration = Duration::from_millis(2);
@@ -32,13 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // timestamps and journal offsets share an epoch (within microseconds)
     // and the journal's update marks land in the right buckets.
     let telemetry = ServerTelemetry::new();
-    let mut server = Server::start_with(
-        LinkMode::Updateable,
+    let mut server = Server::start(
+        &ServerConfig::new().telemetry(telemetry.clone()),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        Some(telemetry.clone()),
     )?;
     let stream = patch_stream()?;
 

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release -p dsu-bench --bin figure3_latency`
 
 use dsu_bench::measure::{fmt_dur, row, rule};
-use flashed::{latency_stats, patch_stream, versions, Server, SimFs, Workload};
+use flashed::{latency_stats, patch_stream, versions, Server, ServerConfig, SimFs, Workload};
 use vm::LinkMode;
 
 const REQUESTS: usize = 3000;
@@ -48,7 +48,8 @@ fn run(
 ) -> Result<flashed::LatencyStats, Box<dyn std::error::Error>> {
     let fs = SimFs::generate_fixed(32, 1024, 3);
     let mut wl = Workload::new(fs.paths(), 1.0, 17);
-    let mut server = Server::start(mode, &versions::v3(), "v3", fs)?;
+    let cfg = ServerConfig::new().link_mode(mode);
+    let mut server = Server::start(&cfg, &versions::v3(), "v3", fs)?;
     // Warm up (cache population, allocator).
     server.push_requests(wl.batch(300));
     server.serve().map_err(|e| e.to_string())?;

@@ -3,7 +3,7 @@
 //!
 //! Scales the paper's single-server live-update experiment out to a
 //! sharded fleet: N worker threads, each its own FlashEd process, one
-//! shared request queue. Three measurements:
+//! shared inbox. Three measurements:
 //!
 //! 1. **Scaling** — fleet throughput at 1, 2 and 4 workers over a
 //!    disk-bound workload (v1, no response cache, simulated per-read
@@ -42,10 +42,9 @@ use std::time::{Duration, Instant};
 
 use dsu_bench::measure::{fmt_dur, row, rule};
 use flashed::{
-    patch_stream, versions, Completion, EventLoopConfig, Fleet, FleetConfig, RolloutPolicy,
+    patch_stream, versions, Completion, EventLoopConfig, Fleet, FleetConfig, RolloutPlan,
     ServeMode, ServerTelemetry, SimFs, Workload,
 };
-use vm::LinkMode;
 
 const REQUESTS: usize = 6000;
 const FILES: usize = 32;
@@ -90,7 +89,7 @@ fn scaling() -> Result<(), Box<dyn std::error::Error>> {
     for n in [1usize, 2, 4] {
         let fs = SimFs::generate_fixed(FILES, DOC_SIZE, 3).with_read_latency(READ_LATENCY);
         let mut wl = Workload::new(fs.paths(), 1.0, 17);
-        let fleet = Fleet::start(n, LinkMode::Updateable, &versions::v1(), "v1", &fs)
+        let fleet = Fleet::start_cfg(&FleetConfig::new(n), &versions::v1(), "v1", &fs)
             .map_err(|e| e.to_string())?;
         // Warm every worker's cache and code path outside the timed region.
         fleet.push_requests(wl.batch(200 * n));
@@ -228,8 +227,9 @@ fn amped_rollout(trace_out: Option<&str>) -> Result<(), Box<dyn std::error::Erro
 
     fleet.push_requests(wl.batch(REQUESTS));
     let report = fleet
-        .rollout(&gen.patch, RolloutPolicy::Rolling)
-        .map_err(|e| e.to_string())?;
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .map_err(|e| e.to_string())?
+        .fleet_report;
     fleet.drain(REQUESTS).map_err(|e| e.to_string())?;
 
     let tel = fleet.telemetry().expect("fleet started with telemetry");
@@ -298,14 +298,19 @@ fn max_completion_gap(completions: &[Completion]) -> Duration {
 /// telemetry on: the journal's per-patch phase sums are checked against
 /// the rollout report's timings (they must match exactly — the journal
 /// copies them), and the journal/metrics are exported for scraping.
-fn rollout_once(policy: RolloutPolicy) -> Result<(), Box<dyn std::error::Error>> {
+fn rollout_once(name: &str, plan: &RolloutPlan) -> Result<(), Box<dyn std::error::Error>> {
     let fs = SimFs::generate_fixed(FILES, DOC_SIZE, 3);
     let mut wl = Workload::new(fs.paths(), 1.0, 17);
     let gen = &patch_stream()?[2]; // v3 -> v4 (cache representation change)
 
-    let tag = format!("{policy:?}").to_lowercase();
-    let fleet = Fleet::start_telemetry(WORKERS, LinkMode::Updateable, &versions::v3(), "v3", &fs)
-        .map_err(|e| e.to_string())?;
+    let tag = name.to_lowercase();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(WORKERS).with_telemetry(),
+        &versions::v3(),
+        "v3",
+        &fs,
+    )
+    .map_err(|e| e.to_string())?;
     // Warm up, then discard pre-rollout history.
     fleet.push_requests(wl.batch(200 * WORKERS));
     fleet.drain(200 * WORKERS).map_err(|e| e.to_string())?;
@@ -313,8 +318,9 @@ fn rollout_once(policy: RolloutPolicy) -> Result<(), Box<dyn std::error::Error>>
 
     fleet.push_requests(wl.batch(REQUESTS));
     let report = fleet
-        .rollout(&gen.patch, policy.clone())
-        .map_err(|e| e.to_string())?;
+        .rollout_plan(&gen.patch, plan)
+        .map_err(|e| e.to_string())?
+        .fleet_report;
     fleet.drain(REQUESTS).map_err(|e| e.to_string())?;
     let completions = fleet.completions();
 
@@ -361,7 +367,7 @@ fn rollout_once(policy: RolloutPolicy) -> Result<(), Box<dyn std::error::Error>>
     let journal_events = tel.journal().len();
     fleet.shutdown().map_err(|e| e.to_string())?;
 
-    println!("{policy:?} rollout ({WORKERS} workers, {REQUESTS} requests in flight):");
+    println!("{name} rollout ({WORKERS} workers, {REQUESTS} requests in flight):");
     println!("  {report}");
     println!(
         "  completions: {} (all served); largest fleet-wide gap: {}; \
@@ -390,8 +396,8 @@ fn rollout_once(policy: RolloutPolicy) -> Result<(), Box<dyn std::error::Error>>
 
 fn rollouts() -> Result<(), Box<dyn std::error::Error>> {
     println!("Coordinated live update (v3 -> v4, state transformation over warm caches)\n");
-    rollout_once(RolloutPolicy::Rolling)?;
-    rollout_once(RolloutPolicy::Simultaneous)?;
+    rollout_once("Rolling", &RolloutPlan::rolling())?;
+    rollout_once("Simultaneous", &RolloutPlan::simultaneous())?;
     println!(
         "(expected shape: Rolling staggers the pauses — workers apply one at\n\
          a time, the fleet keeps completing requests throughout — while\n\

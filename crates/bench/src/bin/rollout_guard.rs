@@ -29,7 +29,7 @@ use std::time::Duration;
 use dsu_bench::measure::fmt_dur;
 use flashed::{
     patch_stream, versions, BreachAction, FaultPlan, Fleet, FleetConfig, HealthBreach, PauseSlo,
-    RolloutOutcome, RolloutReportCard, SimFs, WorkerOverride, Workload,
+    RolloutOutcome, RolloutPlan, RolloutReportCard, SimFs, WorkerOverride, Workload,
 };
 
 const WORKERS: usize = 3;
@@ -91,14 +91,12 @@ fn healthy() -> Result<(), Box<dyn std::error::Error>> {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).map_err(|e| e.to_string())?;
     fleet.push_requests(wl.batch(REQUESTS));
 
-    let (_, card) = fleet
-        .rollout_guarded(
-            &forward_patch()?,
-            0,
-            PauseSlo::p99(Duration::from_millis(50)),
-            BreachAction::RollBack { inverse: None },
-        )
-        .map_err(|e| e.to_string())?;
+    let slo = PauseSlo::p99(Duration::from_millis(50));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::RollBack { inverse: None });
+    let card = fleet
+        .rollout_plan(&forward_patch()?, &plan)
+        .map_err(|e| e.to_string())?
+        .card;
     fleet.drain(REQUESTS).map_err(|e| e.to_string())?;
 
     assert_eq!(card.outcome, RolloutOutcome::Completed);
@@ -136,16 +134,13 @@ fn breach_and_rollback() -> Result<(), Box<dyn std::error::Error>> {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).map_err(|e| e.to_string())?;
     fleet.push_requests(wl.batch(REQUESTS));
 
-    let (_, card) = fleet
-        .rollout_guarded(
-            &forward_patch()?,
-            0,
-            PauseSlo::p99(Duration::from_millis(2)),
-            BreachAction::RollBack {
-                inverse: Some(Box::new(inverse_patch()?)),
-            },
-        )
-        .map_err(|e| e.to_string())?;
+    let slo = PauseSlo::p99(Duration::from_millis(2));
+    let inverse = Some(Box::new(inverse_patch()?));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::RollBack { inverse });
+    let card = fleet
+        .rollout_plan(&forward_patch()?, &plan)
+        .map_err(|e| e.to_string())?
+        .card;
     fleet.drain(REQUESTS).map_err(|e| e.to_string())?;
 
     // The breach names the canary's pause, the fleet is back on v1, and

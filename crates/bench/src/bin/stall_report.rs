@@ -27,7 +27,7 @@ use std::time::Duration;
 use dsu_obs::journal::validate_lifecycle;
 use dsu_obs::{stall_report, to_chrome_trace, validate_spans, Stage};
 use flashed::{
-    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, PauseSlo, ServeMode,
+    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, PauseSlo, RolloutPlan, ServeMode,
     ServerTelemetry, SimFs, Workload,
 };
 
@@ -65,14 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Open loop: the whole burst is queued before the rollout starts, so
     // the in-flight window stays saturated through every pause.
     fleet.push_requests(wl.batch(requests));
-    let (report, card) = fleet
-        .rollout_guarded(
-            &flashed::patch_stream()?[0].patch,
-            0,
-            PauseSlo::p99(Duration::from_millis(500)),
-            BreachAction::Hold,
-        )
+    let slo = PauseSlo::p99(Duration::from_millis(500));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::Hold);
+    let run = fleet
+        .rollout_plan(&flashed::patch_stream()?[0].patch, &plan)
         .map_err(|e| e.to_string())?;
+    let (report, card) = (run.fleet_report, run.card);
     assert_eq!(report.applied.len(), WORKERS, "every worker applied");
     assert!(card.converged(), "{:?}", card.final_versions);
     fleet.drain(requests).map_err(|e| e.to_string())?;

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use dsu_bench::measure::{fmt_dur, row, rule};
 use dsu_core::{apply_patch, PatchGen, PhaseTimings, UpdatePolicy};
-use flashed::{patch_stream, versions, Server, SimFs, Workload};
+use flashed::{patch_stream, versions, Server, ServerConfig, SimFs, Workload};
 use vm::{LinkMode, Process, Value};
 
 const REPS: usize = 20;
@@ -45,7 +45,7 @@ fn part_a() -> Result<(), Box<dyn std::error::Error>> {
             // Fresh, warmed server per repetition.
             let fs = SimFs::generate_fixed(32, 1024, 5);
             let mut wl = Workload::new(fs.paths(), 1.0, 100 + rep as u64);
-            let mut server = Server::start(LinkMode::Updateable, from_src, from_name, fs)?;
+            let mut server = Server::start(&ServerConfig::new(), from_src, from_name, fs)?;
             server.push_requests(wl.batch(200));
             server.serve().map_err(|e| e.to_string())?;
             let report = apply_patch(server.process_mut(), &gen.patch, UpdatePolicy::default())?;

@@ -31,7 +31,6 @@ use std::time::Duration;
 
 use dsu_bench::measure::{fmt_dur, overhead_percent, row, rule, time_interleaved_n};
 use flashed::{versions, Fleet, FleetConfig, SimFs, Workload};
-use vm::LinkMode;
 
 const WORKERS: usize = 4;
 const FILES: usize = 32;
@@ -49,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fs = SimFs::generate_fixed(FILES, DOC_SIZE, 3).with_read_latency(READ_LATENCY);
     let mut wl = Workload::new(fs.paths(), 1.0, 17);
 
-    let plain = Fleet::start(WORKERS, LinkMode::Updateable, &versions::v1(), "v1", &fs)?;
-    let telemetry =
-        Fleet::start_telemetry(WORKERS, LinkMode::Updateable, &versions::v1(), "v1", &fs)?;
+    let cfg = FleetConfig::new(WORKERS);
+    let plain = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs)?;
+    let telemetry = Fleet::start_cfg(&cfg.with_telemetry(), &versions::v1(), "v1", &fs)?;
     let traced_cfg = FleetConfig::new(WORKERS).with_tracing();
     let traced = Fleet::start_cfg(&traced_cfg, &versions::v1(), "v1", &fs)?;
     let sampled = Fleet::start_cfg(&traced_cfg, &versions::v1(), "v1", &fs)?;

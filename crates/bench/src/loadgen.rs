@@ -1,7 +1,7 @@
 //! Open- and closed-loop load generators for the FlashEd edge.
 //!
-//! Both drive [`Edge::submit`] directly (bypassing the acceptor thread)
-//! so every request's admission instant is stamped at the source and
+//! Both drive [`Edge::submit`] directly, one request at a time, so
+//! every request's admission instant is stamped at the source and
 //! end-to-end sojourn (`Completion::queue_wait + Completion::service`)
 //! is measured per request.
 //!

@@ -1,15 +1,18 @@
 //! The FlashEd network edge: sharded admission in front of the fleet.
 //!
-//! Historically every fleet worker pulled from one shared
-//! [`ServerShared`] queue — a single mutex all N workers contended on,
-//! which hides routing and admission effects and caps scaling. This
-//! module replaces that hot path with a front door:
+//! Every worker pulls requests from an [`Inbox`]. A fleet without an
+//! edge hands all of its workers one shared unbounded inbox — a single
+//! lock all N workers contend on, which hides routing and admission
+//! effects and caps scaling. This module is the front door that replaces
+//! that shared inbox with one per worker:
 //!
-//! * **Per-worker inboxes** ([`Inbox`]) — bounded SPSC-style queues, one
-//!   per worker. The acceptor is the only producer and the owning worker
-//!   the only consumer, so the per-request pull path never touches a
-//!   fleet-wide lock. Depth is mirrored in a lock-free atomic that both
-//!   the LeastLoaded policy and the telemetry gauges read live.
+//! * **Per-worker inboxes** ([`Inbox`]) — bounded queues, one per worker.
+//!   The edge is the only producer and the owning worker the only
+//!   consumer, so the per-request pull path never touches a fleet-wide
+//!   lock. Depth is mirrored in a lock-free atomic that both the
+//!   LeastLoaded policy and the telemetry gauges read live. An idle
+//!   consumer blocks in [`Inbox::wait`] and is woken by a push or a
+//!   [`Inbox::poke`].
 //! * **Routing** ([`RoutePolicy`]) — consistent hashing over the request
 //!   path (a [`HashRing`] with virtual nodes, so worker-count changes
 //!   move only the keys adjacent to the new points: cache affinity
@@ -20,9 +23,6 @@
 //!   [`EdgeConfig::shed_responses`] is on, the client-visible side is a
 //!   synthesized HTTP 503 appended to the completion log (`pulled:
 //!   false`, so latency stats skip it while drain accounting counts it).
-//! * **The acceptor** — a thread draining the legacy shared ingress queue
-//!   through [`Edge::submit`], so existing `push_requests` callers work
-//!   unchanged. Load generators bypass it and call `submit` directly.
 //!
 //! Requests are stamped with their admission instant; workers propagate
 //! it into [`Completion::queue_wait`], so end-to-end sojourn
@@ -32,8 +32,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::Response;
@@ -174,11 +173,28 @@ pub struct Routed {
     pub accepted_at: Instant,
 }
 
-/// One worker's bounded inbox. The acceptor pushes, the owning worker
-/// pops; the depth mirror is a lock-free atomic so routing and gauges
-/// read it without taking the queue lock.
+/// What the inbox lock guards: the queue and the poke count.
+struct Queue {
+    items: VecDeque<Routed>,
+    /// [`Inbox::poke`] calls so far. A count, not a flag: several workers
+    /// can share one inbox, and each must see a poke aimed at it however
+    /// many of the others woke (and went back to waiting) first.
+    pokes: u64,
+    /// Consumers currently blocked in [`Inbox::wait`]. A push signals the
+    /// condvar only when this is non-zero, so the busy path (the worker
+    /// is serving, nobody waits) pays no wake-up system call.
+    waiting: usize,
+}
+
+/// A queue of admitted requests: the edge (or a server's own
+/// `push_requests`) pushes, the owning worker pops; the depth mirror is a
+/// lock-free atomic so routing and gauges read it without taking the
+/// queue lock.
 pub struct Inbox {
-    q: Mutex<VecDeque<Routed>>,
+    q: Mutex<Queue>,
+    /// Signalled by a push that finds a consumer waiting (one waiter) and
+    /// by every poke (all waiters).
+    arrived: Condvar,
     depth: AtomicUsize,
     capacity: usize,
     shed: AtomicU64,
@@ -200,38 +216,98 @@ impl Inbox {
             capacity > 0,
             "an inbox needs capacity for at least one request"
         );
+        Inbox::with_queue(VecDeque::with_capacity(capacity.min(4096)), capacity)
+    }
+
+    /// An empty inbox that never sheds — what a server without an edge
+    /// in front of it pulls from.
+    pub fn unbounded() -> Inbox {
+        Inbox::with_queue(VecDeque::new(), usize::MAX)
+    }
+
+    fn with_queue(items: VecDeque<Routed>, capacity: usize) -> Inbox {
         Inbox {
-            q: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            q: Mutex::new(Queue {
+                items,
+                pokes: 0,
+                waiting: 0,
+            }),
+            arrived: Condvar::new(),
             depth: AtomicUsize::new(0),
             capacity,
             shed: AtomicU64::new(0),
         }
     }
 
-    /// Enqueues `routed` unless the inbox is full. Returns the new depth
-    /// on success; on overflow the item is dropped, the shed counter
-    /// bumps, and the depth at rejection comes back as the error.
+    /// Enqueues `routed` unless the inbox is full, waking one waiting
+    /// consumer if there is one. Returns the new depth on success; on overflow the item
+    /// is dropped, the shed counter bumps, and the depth at rejection
+    /// comes back as the error.
     pub fn try_push(&self, routed: Routed) -> Result<usize, usize> {
         let mut q = self.q.lock().expect("poisoned");
-        if q.len() >= self.capacity {
+        if q.items.len() >= self.capacity {
             drop(q);
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Err(self.capacity);
         }
-        q.push_back(routed);
-        let depth = q.len();
+        q.items.push_back(routed);
+        let depth = q.items.len();
         self.depth.store(depth, Ordering::Relaxed);
+        let wake = q.waiting > 0;
+        drop(q);
+        if wake {
+            self.arrived.notify_one();
+        }
         Ok(depth)
+    }
+
+    /// Enqueues every request in `requests`, stamped as admitted now —
+    /// the edgeless front door. One that does not fit is shed.
+    pub(crate) fn admit_all<I>(&self, requests: I)
+    where
+        I: IntoIterator<Item = String>,
+    {
+        for request in requests {
+            let _ = self.try_push(Routed {
+                request,
+                accepted_at: Instant::now(),
+            });
+        }
     }
 
     /// Dequeues the oldest request, if any.
     pub fn pop(&self) -> Option<Routed> {
         let mut q = self.q.lock().expect("poisoned");
-        let routed = q.pop_front();
+        let routed = q.items.pop_front();
         if routed.is_some() {
-            self.depth.store(q.len(), Ordering::Relaxed);
+            self.depth.store(q.items.len(), Ordering::Relaxed);
         }
         routed
+    }
+
+    /// Wakes every consumer blocked in [`Inbox::wait`] although nothing
+    /// was pushed — a patch was queued for it, or it should shut down.
+    pub fn poke(&self) {
+        self.q.lock().expect("poisoned").pokes += 1;
+        self.arrived.notify_all();
+    }
+
+    /// Blocks the calling consumer until the inbox holds a request, a
+    /// poke newer than `seen_pokes` has been issued, or `timeout` passes
+    /// — whichever is first — and returns the poke count to pass next
+    /// time (start from 0). The count lives under the queue lock, so a
+    /// poke issued after the consumer last looked for work but before it
+    /// got here is not lost: this call returns at once. May also return
+    /// early for no reason; callers loop.
+    pub fn wait(&self, seen_pokes: u64, timeout: Duration) -> u64 {
+        let mut q = self.q.lock().expect("poisoned");
+        if !q.items.is_empty() || q.pokes != seen_pokes {
+            return q.pokes;
+        }
+        q.waiting += 1;
+        let (mut q, _) = self.arrived.wait_timeout(q, timeout).expect("poisoned");
+        q.waiting -= 1;
+        q.pokes
     }
 
     /// Requests currently queued (lock-free mirror; exact at quiescence,
@@ -644,8 +720,9 @@ impl Edge {
         }
     }
 
-    /// Live inbox depths, in worker order — what [`Fleet::drain`]
-    /// (see [`crate::FleetError::QueueStall`]) reports per worker.
+    /// Live inbox depths, in worker order — what
+    /// [`Fleet::drain`](crate::Fleet::drain) reports per worker in
+    /// [`crate::FleetError::QueueStall`].
     pub fn depths(&self) -> Vec<usize> {
         self.inboxes.iter().map(|b| b.depth()).collect()
     }
@@ -678,71 +755,6 @@ impl Edge {
     /// The `Retry-After` hint synthesized 503s carry.
     pub fn retry_after_hint(&self) -> Duration {
         self.retry_after
-    }
-
-    /// Spawns the acceptor: a thread draining the shared ingress queue
-    /// through [`Edge::submit`], so legacy `push_requests` traffic flows
-    /// into the routed inboxes. Returns its handle; the fleet stops it
-    /// at shutdown.
-    pub fn start_acceptor(edge: &Arc<Edge>) -> AcceptorHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let edge = Arc::clone(edge);
-        let stop_t = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("flashed-acceptor".to_string())
-            .spawn(move || {
-                let mut routed: u64 = 0;
-                loop {
-                    match edge.shared.pop_request() {
-                        Some(req) => {
-                            // Sheds are absorbed here (counted, 503'd);
-                            // the ingress queue has no one to backpressure.
-                            let _ = edge.submit(req);
-                            routed += 1;
-                        }
-                        None => {
-                            if stop_t.load(Ordering::Relaxed) {
-                                return routed;
-                            }
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                    }
-                }
-            })
-            .expect("spawn acceptor");
-        AcceptorHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-/// Handle to a running acceptor thread (see [`Edge::start_acceptor`]).
-#[derive(Debug)]
-pub struct AcceptorHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<u64>>,
-}
-
-impl AcceptorHandle {
-    /// Stops the acceptor after it finishes draining the ingress queue;
-    /// returns how many requests it routed.
-    pub fn stop(mut self) -> u64 {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        match self.join.take() {
-            Some(j) => j.join().unwrap_or(0),
-            None => 0,
-        }
-    }
-}
-
-impl Drop for AcceptorHandle {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 

@@ -191,16 +191,15 @@ fn faulted_patch(to_version: &str, def: &str, function: &str) -> Patch {
 mod tests {
     use super::*;
     use crate::fs::SimFs;
-    use crate::server::Server;
+    use crate::server::{Server, ServerConfig};
     use crate::workload::Workload;
     use dsu_core::UpdateError;
-    use vm::LinkMode;
 
     #[test]
     fn trapping_patch_aborts_and_the_server_keeps_its_version() {
         let fs = SimFs::generate_fixed(8, 128, 3);
         let mut wl = Workload::new(fs.paths(), 1.0, 11);
-        let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+        let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
         s.updater.strict = false;
         s.push_requests(wl.batch(5));
         s.serve().unwrap();
@@ -223,7 +222,7 @@ mod tests {
     #[test]
     fn spinning_patch_inflates_the_transform_phase() {
         let fs = SimFs::generate_fixed(8, 128, 3);
-        let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+        let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
         s.queue_patch(spinning_patch(200_000));
         s.apply_pending_now().unwrap();
         let report = &s.updater.log()[0];

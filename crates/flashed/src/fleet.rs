@@ -3,22 +3,25 @@
 //! The paper updates one single-threaded server mid-traffic. This module
 //! scales that experiment out: a [`Fleet`] runs N worker threads, each
 //! owning its *own* [`vm::Process`] (guest state is thread-local; nothing
-//! about the VM becomes concurrent), all pulling from one shared request
-//! queue ([`ServerShared`]). A coordinator thread broadcasts a compiled
-//! [`Patch`] to every worker through [`dsu_core::UpdaterRemote`] handles
-//! under one of two rollout policies:
+//! about the VM becomes concurrent), all pulling from one shared
+//! [`Inbox`] — or, behind an [`Edge`], from one inbox each — and
+//! reporting into one [`ServerShared`] completion log. A coordinator
+//! thread broadcasts a compiled [`Patch`] to every worker through
+//! [`dsu_core::UpdaterRemote`] handles, driven by a [`RolloutPlan`]
+//! ([`Fleet::rollout_plan`]):
 //!
-//! * [`RolloutPolicy::Simultaneous`] — every worker pauses at its next
+//! * [`RolloutPlan::simultaneous`] — every worker pauses at its next
 //!   update point, a barrier lines the whole fleet up, all workers apply
 //!   at once, all resume. One fleet-wide service gap; no version skew.
-//! * [`RolloutPolicy::Rolling`] — workers apply one at a time; while one
+//! * [`RolloutPlan::rolling`] — workers apply one at a time; while one
 //!   pauses the rest keep serving, so the fleet never stops completing
 //!   requests. Transient version skew; no fleet-wide gap.
-//! * [`RolloutPolicy::Guarded`] — a canary worker updates first and a
-//!   [`crate::guard::HealthGate`] judges every step (pause-SLO budget,
-//!   error counters, completion liveness) before the patch advances; a
-//!   breach holds the line or rolls every updated worker back, and the
-//!   whole run leaves a [`crate::guard::RolloutReportCard`] behind.
+//! * [`RolloutPlan::guarded`] / [`RolloutPlan::staged`] — a canary worker
+//!   updates first and a [`crate::guard::HealthGate`] judges every step
+//!   (pause-SLO budget, error counters, completion liveness) before the
+//!   patch advances; a breach holds the line or rolls every updated
+//!   worker back, and the whole run leaves a
+//!   [`crate::guard::RolloutReportCard`] behind.
 //!
 //! Workers run their updaters non-strict: a worker whose apply is rejected
 //! keeps serving its old version and the failure lands in the rollout's
@@ -28,7 +31,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -38,13 +41,12 @@ use dsu_obs::trace::{Span, SpanKind};
 use dsu_obs::{Journal, Tracer};
 use vm::LinkMode;
 
-use crate::edge::{AcceptorHandle, Edge, EdgeConfig, Inbox};
+use crate::edge::{Edge, EdgeConfig, Inbox};
 use crate::fault::{crash_if_armed, CrashPoint, FaultPlan, InjectedCrash};
 use crate::fs::SimFs;
-use crate::guard::{BreachAction, PauseSlo, RolloutReportCard};
 use crate::rollout::{Orchestrator, OrchestratorReport, RolloutPlan};
-use crate::server::{Completion, ServeMode, Server, ServerShared};
-use crate::telemetry::{FleetTelemetry, ServerTelemetry};
+use crate::server::{Completion, ServeMode, Server, ServerConfig, ServerShared};
+use crate::telemetry::FleetTelemetry;
 
 /// Per-worker deviations from the fleet-wide configuration — a fleet
 /// whose workers sit on heterogeneous "hardware" (different device
@@ -93,8 +95,8 @@ pub struct FleetConfig {
     /// "no override".
     pub overrides: Vec<WorkerOverride>,
     /// How long rollouts (and [`Fleet::drain`]) wait for a worker before
-    /// giving up. Hardening tests shrink this so an injected gate stall
-    /// surfaces in milliseconds instead of [`ROLLOUT_DEADLINE`].
+    /// giving up (30 s by default). Hardening tests shrink this so an
+    /// injected gate stall surfaces in milliseconds.
     pub rollout_deadline: Duration,
     /// Journal the workers' lifecycle events land in. `None` builds a
     /// fresh in-memory one; an [`Orchestrator`] hands every shard fleet
@@ -105,12 +107,11 @@ pub struct FleetConfig {
     /// fleets under one orchestrator get disjoint ranges so worker ids
     /// stay globally unambiguous in the shared journal.
     pub worker_base: usize,
-    /// Fronts the fleet with a routed [`Edge`]: per-worker bounded
-    /// inboxes fed by an acceptor thread, instead of every worker
-    /// contending on the shared ingress queue. `None` keeps the legacy
-    /// shared-queue pull path.
+    /// Fronts the fleet with a routed [`Edge`]: one bounded inbox per
+    /// worker, instead of every worker contending on one shared
+    /// unbounded inbox (`None`).
     pub edge: Option<EdgeConfig>,
-    /// Runs a [`Supervisor`] thread over the fleet: dead workers are
+    /// Runs a supervisor thread over the fleet: dead workers are
     /// detected, failed over at the edge, and rebooted from their
     /// persisted snapshot rings (see [`FleetConfig::supervised`]).
     /// `None` (the default) keeps the pre-supervision behaviour — a dead
@@ -151,8 +152,9 @@ impl FleetConfig {
     }
 
     /// Fronts the fleet with a routed edge (see [`EdgeConfig`]): workers
-    /// pull from per-worker bounded inboxes, an acceptor routes the
-    /// shared ingress queue, and overflow sheds with a typed error.
+    /// pull from per-worker bounded inboxes, [`Fleet::push_requests`]
+    /// goes through [`Edge::submit_all`], and overflow sheds with a typed
+    /// error.
     pub fn with_edge(mut self, edge: EdgeConfig) -> FleetConfig {
         self.edge = Some(edge);
         self
@@ -284,15 +286,13 @@ pub enum FleetError {
         /// What happened to it.
         cause: WorkerFailure,
     },
-    /// [`Fleet::drain`] timed out with requests still outstanding. Now
-    /// that queues are sharded, the stall is attributed per queue: the
-    /// shared ingress count plus each worker inbox's depth, so a single
-    /// wedged worker is identifiable from the error alone.
+    /// [`Fleet::drain`] timed out with requests still outstanding. The
+    /// stall is attributed per inbox, so behind an edge a single wedged
+    /// worker is identifiable from the error alone.
     QueueStall {
-        /// Requests still in the shared ingress queue at the deadline.
-        ingress: usize,
-        /// Requests still queued in each worker's edge inbox, in worker
-        /// order. Empty for a shared-queue fleet (no per-worker queues).
+        /// Requests still queued in each inbox at the deadline: one entry
+        /// per worker behind an edge, a single entry for the shared inbox
+        /// without one.
         per_worker: Vec<usize>,
         /// Completions observed at the deadline.
         completed: usize,
@@ -332,10 +332,6 @@ pub enum FleetError {
         /// Workers still on the old version (stalled or never reached).
         remaining: Vec<usize>,
     },
-    /// A [`RolloutPolicy::Guarded`] value reached the unguarded driver —
-    /// an internal dispatch bug, surfaced as a typed error instead of a
-    /// panic inside a live fleet.
-    MisroutedPolicy,
     /// A staged rollout pushed the cross-fleet version skew (distinct
     /// live versions minus one) past the orchestrator's configured bound.
     SkewExceeded {
@@ -351,17 +347,13 @@ impl fmt::Display for FleetError {
         match self {
             FleetError::Worker { worker, cause } => write!(f, "worker {worker}: {cause}"),
             FleetError::QueueStall {
-                ingress,
                 per_worker,
                 completed,
                 expected,
-            } => {
-                write!(f, "fleet did not drain: {ingress} ingress")?;
-                if !per_worker.is_empty() {
-                    write!(f, " + {per_worker:?} per-worker queued")?;
-                }
-                write!(f, ", {completed}/{expected} completed")
-            }
+            } => write!(
+                f,
+                "fleet did not drain: {per_worker:?} queued, {completed}/{expected} completed"
+            ),
             FleetError::RolloutStalled { worker } => {
                 write!(f, "worker {worker} did not reach an update boundary")
             }
@@ -378,9 +370,6 @@ impl fmt::Display for FleetError {
                 f,
                 "rolling rollout stalled mid-fleet: {updated:?} updated, {remaining:?} remaining"
             ),
-            FleetError::MisroutedPolicy => {
-                write!(f, "guarded policy routed to the unguarded rollout driver")
-            }
             FleetError::SkewExceeded { observed, bound } => {
                 write!(
                     f,
@@ -393,35 +382,11 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// How a patch is rolled out across the fleet.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RolloutPolicy {
-    /// Pause every worker at its next update point, apply everywhere at
-    /// once (barrier rendezvous), resume everywhere.
-    Simultaneous,
-    /// Apply to one worker at a time; the rest keep serving throughout.
-    Rolling,
-    /// Self-healing rolling rollout: update the `canary` worker first,
-    /// judge its post-step health (pause SLO, error counters, completion
-    /// liveness) through a [`HealthGate`], then advance worker by worker
-    /// re-checking after every step; on a breach, execute `on_breach` —
-    /// hold, or roll every already-updated worker back. Use
-    /// [`Fleet::rollout_guarded`] to also get the
-    /// [`RolloutReportCard`].
-    Guarded {
-        /// The worker updated (and judged) first.
-        canary: usize,
-        /// The update-pause budget each step is held against.
-        pause_slo: PauseSlo,
-        /// What to do when a step breaches.
-        on_breach: BreachAction,
-    },
-}
-
-/// How long an idle worker waits for control traffic before rechecking
-/// the queue. Bounds both shutdown latency and the time for an idle
-/// worker to join a rollout.
-const IDLE_WAIT: Duration = Duration::from_micros(500);
+/// The longest an idle worker stays blocked on its inbox. A push, a
+/// queued patch and shutdown all wake it at once; this bound only keeps
+/// the heartbeat and the injectable crash seams ticking, and lets a
+/// worker whose fleet was dropped without a shutdown notice and exit.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
 
 /// How long a rollout waits for a worker to apply before giving up.
 const ROLLOUT_DEADLINE: Duration = Duration::from_secs(30);
@@ -481,7 +446,8 @@ pub struct RestartReport {
     /// The version the replay brought the fresh incarnation back to.
     pub replayed_to: String,
     /// Requests drained from the dead worker's inbox at failover and
-    /// pushed back through the router (zero without an edge).
+    /// pushed back through the router (zero without an edge: the shared
+    /// inbox needs no failover).
     pub rerouted: usize,
     /// Death noticed → rejoined and serving.
     pub total: Duration,
@@ -531,6 +497,15 @@ struct Seat {
     join: Option<JoinHandle<Result<i64, String>>>,
 }
 
+impl Seat {
+    /// Tells this incarnation to exit, then wakes it in case it is idle
+    /// on `inbox` — in that order, so the woken worker finds the message.
+    fn stop(&self, inbox: &Inbox) {
+        let _ = self.ctrl.send(Ctrl::Shutdown);
+        inbox.poke();
+    }
+}
+
 pub(crate) struct Worker {
     pub(crate) id: usize,
     /// The current incarnation, swapped by the supervisor on restart.
@@ -577,17 +552,50 @@ impl Worker {
 /// Everything needed to (re)spawn any worker — the fleet's boot-time
 /// configuration flattened per worker, kept alive for the supervisor.
 struct RespawnSpec {
-    mode: LinkMode,
-    serve_modes: Vec<ServeMode>,
+    /// What each worker's server boots with: link and serve mode, the
+    /// fleet's completion log, its telemetry slot, its inbox.
+    servers: Vec<ServerConfig>,
     src: String,
     version: String,
     /// Per-worker filesystem handles, one forked fault domain each —
     /// retained so read failures can be flipped on a live worker.
     fs: Vec<SimFs>,
     vm_profile: bool,
-    shared: ServerShared,
     telemetry: Option<Arc<FleetTelemetry>>,
-    edge: Option<Arc<Edge>>,
+    ingress: Ingress,
+}
+
+/// Where a fleet's requests wait for a worker.
+enum Ingress {
+    /// No edge: every worker pulls from this one unbounded inbox.
+    Shared(Arc<Inbox>),
+    /// One bounded inbox per worker, behind a routing edge.
+    Routed(Arc<Edge>),
+}
+
+impl Ingress {
+    /// The inbox worker `w` pulls from.
+    fn inbox(&self, w: usize) -> &Arc<Inbox> {
+        match self {
+            Ingress::Shared(inbox) => inbox,
+            Ingress::Routed(edge) => edge.inbox(w),
+        }
+    }
+
+    fn edge(&self) -> Option<&Arc<Edge>> {
+        match self {
+            Ingress::Shared(_) => None,
+            Ingress::Routed(edge) => Some(edge),
+        }
+    }
+
+    /// Requests queued in each inbox.
+    fn depths(&self) -> Vec<usize> {
+        match self {
+            Ingress::Shared(inbox) => vec![inbox.depth()],
+            Ingress::Routed(edge) => edge.depths(),
+        }
+    }
 }
 
 /// The supervisor-shared heart of a [`Fleet`]: the worker table plus the
@@ -633,7 +641,7 @@ pub(crate) struct RolloutTrace {
     began: Instant,
 }
 
-/// A running fleet of FlashEd workers over one shared request queue.
+/// A running fleet of FlashEd workers over one completion log.
 pub struct Fleet {
     shared: ServerShared,
     /// Worker table + respawn spec + restart log, shared with the
@@ -642,11 +650,6 @@ pub struct Fleet {
     /// The version every worker booted on (the skew baseline).
     boot_version: String,
     telemetry: Option<Arc<FleetTelemetry>>,
-    /// The routed front door, when configured (see [`FleetConfig::with_edge`]).
-    edge: Option<Arc<Edge>>,
-    /// The acceptor thread routing ingress into the edge; stopped at
-    /// shutdown.
-    acceptor: Option<AcceptorHandle>,
     /// The supervisor thread, when configured (see
     /// [`FleetConfig::supervised`]); stopped before workers at shutdown.
     supervisor: Option<SupervisorHandle>,
@@ -665,64 +668,21 @@ impl std::fmt::Debug for Fleet {
 }
 
 impl Fleet {
-    /// Boots `n` workers, each compiling `src` and serving from one shared
-    /// queue. Every worker builds its server inside its own thread (guest
-    /// processes are thread-local by construction).
+    /// Boots `cfg.workers` workers, each compiling `src` inside its own
+    /// thread (guest processes are thread-local by construction), with
+    /// the serve mode (blocking or AMPED event loop), telemetry, edge,
+    /// supervision and per-worker overrides `cfg` describes.
     ///
     /// # Errors
     ///
     /// Returns the first worker's boot error; already-started workers are
     /// shut down.
-    pub fn start(
-        n: usize,
-        mode: LinkMode,
-        src: &str,
-        version: &str,
-        fs: &SimFs,
-    ) -> Result<Fleet, FleetError> {
-        Fleet::boot(&FleetConfig::new(n).link_mode(mode), src, version, fs)
-    }
-
-    /// Like [`Fleet::start`], with telemetry: a fleet-wide lifecycle
-    /// journal (events worker-tagged), per-worker labelled metrics
-    /// registries, and the coordinator's version-skew gauge — scrape them
-    /// through [`Fleet::telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::start`].
-    pub fn start_telemetry(
-        n: usize,
-        mode: LinkMode,
-        src: &str,
-        version: &str,
-        fs: &SimFs,
-    ) -> Result<Fleet, FleetError> {
-        Fleet::boot(
-            &FleetConfig::new(n).link_mode(mode).with_telemetry(),
-            src,
-            version,
-            fs,
-        )
-    }
-
-    /// Boots a fleet from a full [`FleetConfig`]: serve mode (blocking or
-    /// AMPED event loop), telemetry, and per-worker overrides for device
-    /// latency, cache size and concurrency window.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::start`].
     pub fn start_cfg(
         cfg: &FleetConfig,
         src: &str,
         version: &str,
         fs: &SimFs,
     ) -> Result<Fleet, FleetError> {
-        Fleet::boot(cfg, src, version, fs)
-    }
-
-    fn boot(cfg: &FleetConfig, src: &str, version: &str, fs: &SimFs) -> Result<Fleet, FleetError> {
         let n = cfg.workers;
         assert!(n > 0, "a fleet needs at least one worker");
         let telemetry = cfg.telemetry.then(|| {
@@ -731,14 +691,19 @@ impl Fleet {
             Arc::new(FleetTelemetry::shared(n, cfg.worker_base, journal, tracer))
         });
         let shared = ServerShared::new();
-        let edge = cfg
-            .edge
-            .as_ref()
-            .map(|ec| Arc::new(Edge::new(n, ec, shared.clone(), telemetry.clone())));
+        let ingress = match &cfg.edge {
+            Some(ec) => Ingress::Routed(Arc::new(Edge::new(
+                n,
+                ec,
+                shared.clone(),
+                telemetry.clone(),
+            ))),
+            None => Ingress::Shared(Arc::new(Inbox::unbounded())),
+        };
         // Flatten the per-worker configuration into the respawn spec: the
         // supervisor reboots workers from exactly what they booted with
         // (minus the one-shot crash faults, disarmed on respawn).
-        let mut serve_modes = Vec::with_capacity(n);
+        let mut servers = Vec::with_capacity(n);
         let mut worker_fs = Vec::with_capacity(n);
         for id in 0..n {
             let ov = cfg.override_for(id);
@@ -752,29 +717,29 @@ impl Fleet {
                 wfs.set_read_failures(true);
             }
             worker_fs.push(wfs);
-            serve_modes.push(match cfg.serve_mode {
-                ServeMode::Blocking => ServeMode::Blocking,
-                ServeMode::EventLoop(mut ec) => {
-                    if let Some(c) = ov.cache_entries {
-                        ec.cache_entries = c;
-                    }
-                    if let Some(m) = ov.max_in_flight {
-                        ec.max_in_flight = m;
-                    }
-                    ServeMode::EventLoop(ec)
-                }
-            });
+            let mut serve_mode = cfg.serve_mode;
+            if let ServeMode::EventLoop(ec) = &mut serve_mode {
+                ec.cache_entries = ov.cache_entries.unwrap_or(ec.cache_entries);
+                ec.max_in_flight = ov.max_in_flight.unwrap_or(ec.max_in_flight);
+            }
+            let mut server = ServerConfig::new()
+                .link_mode(cfg.link_mode)
+                .serve_mode(serve_mode)
+                .shared(shared.clone())
+                .inbox(Arc::clone(ingress.inbox(id)));
+            if let Some(t) = &telemetry {
+                server = server.telemetry(t.worker(id).clone());
+            }
+            servers.push(server);
         }
         let spec = RespawnSpec {
-            mode: cfg.link_mode,
-            serve_modes,
+            servers,
             src: src.to_string(),
             version: version.to_string(),
             fs: worker_fs,
             vm_profile: cfg.vm_profile,
-            shared: shared.clone(),
             telemetry: telemetry.clone(),
-            edge: edge.clone(),
+            ingress,
         };
         let mut workers = Vec::with_capacity(n);
         let mut boot_err = None;
@@ -800,7 +765,7 @@ impl Fleet {
         if let Some(e) = boot_err {
             for w in workers {
                 let seat = w.seat.into_inner().expect("poisoned");
-                let _ = seat.ctrl.send(Ctrl::Shutdown);
+                seat.stop(spec.ingress.inbox(w.id));
                 if let Some(join) = seat.join {
                     let _ = join.join();
                 }
@@ -810,7 +775,6 @@ impl Fleet {
         if let Some(t) = &telemetry {
             t.set_live_versions(&vec![version.to_string(); n]);
         }
-        let acceptor = edge.as_ref().map(Edge::start_acceptor);
         let state = Arc::new(FleetState {
             workers,
             spec,
@@ -824,8 +788,6 @@ impl Fleet {
             state,
             boot_version: version.to_string(),
             telemetry,
-            edge,
-            acceptor,
             supervisor,
             rollout_deadline: cfg.rollout_deadline,
         })
@@ -833,14 +795,13 @@ impl Fleet {
 
     /// The routed front door, when this fleet was booted with
     /// [`FleetConfig::with_edge`]. Load generators submit through it
-    /// directly (bypassing the acceptor) to stamp admission instants at
-    /// the source.
+    /// directly to see each request's admission verdict.
     pub fn edge(&self) -> Option<&Arc<Edge>> {
-        self.edge.as_ref()
+        self.state.spec.ingress.edge()
     }
 
     /// The fleet's telemetry (journal, registries, skew gauge), when
-    /// started through [`Fleet::start_telemetry`].
+    /// booted with [`FleetConfig::with_telemetry`].
     pub fn telemetry(&self) -> Option<&FleetTelemetry> {
         self.telemetry.as_deref()
     }
@@ -937,18 +898,31 @@ impl Fleet {
         seat.links.heartbeat.load(Ordering::Relaxed)
     }
 
-    /// The shared queue/completion state (clone to feed or observe the
-    /// fleet from other threads).
+    /// The shared completion log and clock (clone to observe the fleet
+    /// from other threads).
     pub fn shared(&self) -> ServerShared {
         self.shared.clone()
     }
 
-    /// Enqueues client requests onto the shared queue.
+    /// Enqueues client requests: into the shared inbox, or through
+    /// [`Edge::submit_all`] when the fleet has an edge (sheds are
+    /// counted, and answered 503 when so configured, but not reported
+    /// back — submit through [`Fleet::edge`] to see them).
     pub fn push_requests<I>(&self, requests: I)
     where
         I: IntoIterator<Item = String>,
     {
-        self.shared.push_requests(requests);
+        match &self.state.spec.ingress {
+            Ingress::Shared(inbox) => inbox.admit_all(requests),
+            Ingress::Routed(edge) => {
+                edge.submit_all(requests);
+            }
+        }
+    }
+
+    /// Requests admitted but not yet pulled by a worker, fleet-wide.
+    pub fn queued(&self) -> usize {
+        self.state.spec.ingress.depths().iter().sum()
     }
 
     /// Completed responses so far, fleet-wide, in completion order.
@@ -956,7 +930,7 @@ impl Fleet {
         self.shared.completions()
     }
 
-    /// Blocks until the shared queue is empty and every pulled request has
+    /// Blocks until every inbox is empty and every pulled request has
     /// completed (`expected` = completions expected so far).
     ///
     /// # Errors
@@ -965,17 +939,12 @@ impl Fleet {
     pub fn drain(&self, expected: usize) -> Result<(), FleetError> {
         let deadline = Instant::now() + self.rollout_deadline;
         loop {
-            let edge_queued = self.edge.as_ref().map_or(0, |e| e.queued());
-            if self.shared.queue_len() == 0
-                && edge_queued == 0
-                && self.shared.completions_len() >= expected
-            {
+            if self.queued() == 0 && self.shared.completions_len() >= expected {
                 return Ok(());
             }
             if Instant::now() > deadline {
                 return Err(FleetError::QueueStall {
-                    ingress: self.shared.queue_len(),
-                    per_worker: self.edge.as_ref().map_or_else(Vec::new, |e| e.depths()),
+                    per_worker: self.state.spec.ingress.depths(),
                     completed: self.shared.completions_len(),
                     expected,
                 });
@@ -984,63 +953,24 @@ impl Fleet {
         }
     }
 
-    /// Rolls `patch` out to every worker under `policy`, blocking until
-    /// each worker has either applied it or had it rejected. Serving
-    /// continues throughout (for [`RolloutPolicy::Rolling`], completions
-    /// never stop fleet-wide; for [`RolloutPolicy::Simultaneous`], the
-    /// whole fleet pauses once, together). For
-    /// [`RolloutPolicy::Guarded`] this delegates to
-    /// [`Fleet::rollout_guarded`] and drops the report card.
+    /// Rolls `patch` out across this fleet as `plan` directs — a
+    /// one-shard [`Orchestrator`] run with no skew bound — blocking until
+    /// each covered worker has either applied it or had it rejected.
+    /// Serving continues throughout (for [`RolloutPlan::rolling`],
+    /// completions never stop fleet-wide; for
+    /// [`RolloutPlan::simultaneous`], the whole fleet pauses once,
+    /// together). The per-worker outcome is the report's `fleet_report`,
+    /// a gated plan's verdicts its `card`.
     ///
     /// # Errors
     ///
-    /// Errors if a worker fails to reach an update boundary within the
-    /// rollout deadline (e.g. its thread died). A rolling rollout that
-    /// stalls after at least one worker updated returns
+    /// An ungated plan errors if a worker fails to reach an update
+    /// boundary within the rollout deadline (e.g. its thread died); when
+    /// that happens after at least one worker updated, the error is
     /// [`FleetError::PartialRollout`] (the stalled worker's pending patch
-    /// is withdrawn first, so it cannot land later).
-    pub fn rollout(
-        &self,
-        patch: &Patch,
-        policy: RolloutPolicy,
-    ) -> Result<FleetUpdateReport, FleetError> {
-        match policy {
-            RolloutPolicy::Guarded {
-                canary,
-                pause_slo,
-                on_breach,
-            } => self
-                .rollout_guarded(patch, canary, pause_slo, on_breach)
-                .map(|(report, _)| report),
-            policy => self.rollout_unguarded(patch, policy),
-        }
-    }
-
-    /// The [`RolloutPolicy::Simultaneous`] / [`RolloutPolicy::Rolling`]
-    /// entry point: each policy is a degenerate [`RolloutPlan`] (one
-    /// all-worker barrier cohort; one cohort per worker), driven by the
-    /// [`crate::rollout`] orchestrator.
-    fn rollout_unguarded(
-        &self,
-        patch: &Patch,
-        policy: RolloutPolicy,
-    ) -> Result<FleetUpdateReport, FleetError> {
-        let plan = match policy {
-            RolloutPolicy::Simultaneous => RolloutPlan::simultaneous(),
-            RolloutPolicy::Rolling => RolloutPlan::rolling(),
-            // A guarded policy here is a dispatch bug in the caller; a
-            // typed error beats a panic inside a live fleet.
-            RolloutPolicy::Guarded { .. } => return Err(FleetError::MisroutedPolicy),
-        };
-        self.rollout_plan(patch, &plan).map(|r| r.fleet_report)
-    }
-
-    /// Drives this fleet alone through an arbitrary [`RolloutPlan`] — a
-    /// one-shard [`Orchestrator`] run with no skew bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::rollout`].
+    /// is withdrawn first, so it cannot land later). Under a gate a
+    /// forward stall is a health breach, handled by the gate; only a
+    /// stalled *rollback* errors.
     pub fn rollout_plan(
         &self,
         patch: &Patch,
@@ -1136,31 +1066,6 @@ impl Fleet {
         report
     }
 
-    /// The [`RolloutPolicy::Guarded`] driver: canary first, then worker
-    /// by worker (a guarded [`RolloutPlan`] of singleton cohorts), each
-    /// step judged by a [`crate::guard::HealthGate`] before the next
-    /// begins. On a breach the rollout holds or rolls every updated
-    /// worker back per `on_breach`. Returns the fleet report plus the
-    /// run's [`RolloutReportCard`].
-    ///
-    /// # Errors
-    ///
-    /// Errors only when a *rollback* stalls (a worker that must undo
-    /// cannot be reached) — forward stalls are health breaches, handled
-    /// by the gate, not errors.
-    pub fn rollout_guarded(
-        &self,
-        patch: &Patch,
-        canary: usize,
-        pause_slo: PauseSlo,
-        on_breach: BreachAction,
-    ) -> Result<(FleetUpdateReport, RolloutReportCard), FleetError> {
-        assert!(canary < self.state.workers.len(), "canary out of range");
-        let plan = RolloutPlan::guarded(canary, pause_slo, on_breach);
-        self.rollout_plan(patch, &plan)
-            .map(|r| (r.fleet_report, r.card))
-    }
-
     /// Per-worker device-read-error counts (zeros untelemetered).
     pub(crate) fn read_error_counts(&self) -> Vec<u64> {
         match &self.telemetry {
@@ -1228,14 +1133,9 @@ impl Fleet {
         if let Some(supervisor) = self.supervisor.take() {
             supervisor.stop();
         }
-        // Stop the acceptor next: it finishes routing whatever is still
-        // in the ingress queue, so workers see those requests before
-        // their shutdown signal lands.
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.stop();
-        }
         for w in &self.state.workers {
-            let _ = w.seat.lock().expect("poisoned").ctrl.send(Ctrl::Shutdown);
+            let inbox = self.state.spec.ingress.inbox(w.id);
+            w.seat.lock().expect("poisoned").stop(inbox);
         }
         let mut served = Vec::with_capacity(self.state.workers.len());
         let mut first_err: Option<FleetError> = None;
@@ -1278,16 +1178,14 @@ impl Fleet {
 /// Everything one worker thread needs, bundled (the spawn site builds it
 /// from the [`RespawnSpec`]).
 struct WorkerCtx {
-    mode: LinkMode,
-    serve_mode: ServeMode,
+    server: ServerConfig,
     src: String,
     version: String,
     fs: SimFs,
     fault: FaultPlan,
     vm_profile: bool,
-    shared: ServerShared,
-    telemetry: Option<ServerTelemetry>,
-    inbox: Option<Arc<Inbox>>,
+    /// The inbox `server` pulls from — where the idle worker blocks.
+    inbox: Arc<Inbox>,
     /// Persisted crash-durable state to replay at boot (the respawn
     /// path); `None` boots fresh.
     restore: Option<String>,
@@ -1308,16 +1206,13 @@ fn spawn_worker(
     let (ctrl_tx, ctrl_rx) = mpsc::channel();
     let (boot_tx, boot_rx) = mpsc::channel();
     let ctx = WorkerCtx {
-        mode: spec.mode,
-        serve_mode: spec.serve_modes[id],
+        server: spec.servers[id].clone(),
         src: spec.src.clone(),
         version: spec.version.clone(),
         fs: spec.fs[id].clone(),
         fault,
         vm_profile: spec.vm_profile,
-        shared: spec.shared.clone(),
-        telemetry: spec.telemetry.as_ref().map(|t| t.worker(id).clone()),
-        inbox: spec.edge.as_ref().map(|e| Arc::clone(e.inbox(id))),
+        inbox: Arc::clone(spec.ingress.inbox(id)),
         restore,
         heartbeat: Arc::clone(&heartbeat),
         state_slot: Arc::clone(&state_slot),
@@ -1387,7 +1282,7 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
             // Fail the dead worker's traffic over: its vnodes route to
             // ring successors, its queued requests drain back through the
             // router. Idempotent — a retry sweep won't double-count.
-            let rerouted = state.spec.edge.as_ref().map_or(0, |e| e.mark_down(w.id));
+            let rerouted = state.spec.ingress.edge().map_or(0, |e| e.mark_down(w.id));
             // Reap the dead incarnation; `join` already `None` means a
             // previous respawn attempt failed and this is a retry.
             let (failure, old_links) = {
@@ -1447,7 +1342,7 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                         t.set_worker_up(w.id, true);
                         t.record_worker_restart();
                     }
-                    if let Some(e) = &state.spec.edge {
+                    if let Some(e) = state.spec.ingress.edge() {
                         e.mark_up(w.id);
                     }
                     // Second withdrawal sweep: an op enqueued onto the
@@ -1531,16 +1426,7 @@ fn worker_main(
     ctrl: mpsc::Receiver<Ctrl>,
     boot_tx: mpsc::Sender<Result<BootInfo, String>>,
 ) -> Result<i64, String> {
-    let mut server = match Server::start_routed(
-        ctx.mode,
-        ctx.serve_mode,
-        &ctx.src,
-        &ctx.version,
-        ctx.fs,
-        ctx.shared,
-        ctx.telemetry,
-        ctx.inbox,
-    ) {
+    let mut server = match Server::start(&ctx.server, &ctx.src, &ctx.version, ctx.fs) {
         Ok(s) => s,
         Err(e) => {
             let _ = boot_tx.send(Err(e.to_string()));
@@ -1599,6 +1485,7 @@ fn worker_main(
         r
     };
     let mut total = 0i64;
+    let mut seen_pokes = 0;
     loop {
         ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
         // Quiescent boundary: re-persist crash-durable state whenever the
@@ -1628,12 +1515,9 @@ fn worker_main(
             }
         }
         match server.serve() {
-            Ok(0) => match ctrl.recv_timeout(IDLE_WAIT) {
-                Ok(Ctrl::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                    return finish(&server, Ok(total))
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-            },
+            // Idle: block until a request, a queued patch or shutdown
+            // pokes the inbox.
+            Ok(0) => seen_pokes = ctx.inbox.wait(seen_pokes, IDLE_WAIT),
             Ok(n) => total += n,
             Err(e) => return finish(&server, Err(e.to_string())),
         }

@@ -1,6 +1,6 @@
 //! Guarded rollouts: pause-budget SLOs, health gates, and report cards.
 //!
-//! A guarded rollout ([`crate::RolloutPolicy::Guarded`]) updates one
+//! A guarded rollout ([`crate::RolloutPlan::guarded`]) updates one
 //! *canary* worker first and lets a [`HealthGate`] judge it before the
 //! patch touches the rest of the fleet: the canary's update-pause tail is
 //! held against a [`PauseSlo`] budget, its failure and device-read-error
@@ -219,7 +219,8 @@ pub struct StepHealth {
     pub new_read_errors: u64,
     /// Fleet-wide request completions during the step.
     pub new_completions: usize,
-    /// Requests still queued when the step's health was read.
+    /// Requests still queued, across every inbox of the worker's fleet,
+    /// when the step's health was read.
     pub queued: usize,
     /// The step's end-to-end request sojourn at the latency-SLO quantile,
     /// computed over the *window* of the worker's sojourn histogram that

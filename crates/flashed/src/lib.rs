@@ -16,11 +16,13 @@
 //! * a [server harness](server) that boots any version in static or
 //!   updateable link mode and applies patches mid-traffic at the guest's
 //!   update points;
-//! * a multi-worker [fleet](fleet) that shards one request queue across N
-//!   worker threads and rolls patches out fleet-wide, simultaneously
-//!   (barrier-coordinated), rolling (one worker at a time), or guarded
-//!   (canary + health gate + automatic rollback — see [guard]), with a
-//!   [fault]-injection layer to prove the self-healing paths work;
+//! * a multi-worker [fleet] of N worker threads pulling from one shared
+//!   inbox — or, behind a routing [edge], from one bounded inbox each —
+//!   that rolls patches out fleet-wide as a [`RolloutPlan`] directs:
+//!   simultaneously (barrier-coordinated), rolling (one worker at a
+//!   time), or guarded (canary + health gate + automatic rollback — see
+//!   [guard]), with a [fault]-injection layer to prove the self-healing
+//!   paths work;
 //! * a [telemetry] layer: per-server request/pause instruments, a
 //!   fleet-wide update-lifecycle journal, and merged Prometheus/JSON
 //!   scrapes with a live version-skew gauge.
@@ -28,12 +30,11 @@
 //! ## Example
 //!
 //! ```
-//! use flashed::{fs::SimFs, server::Server, versions, workload::Workload};
-//! use vm::LinkMode;
+//! use flashed::{versions, Server, ServerConfig, SimFs, Workload};
 //!
 //! let fs = SimFs::generate_fixed(8, 512, 1);
 //! let mut wl = Workload::new(fs.paths(), 1.0, 7);
-//! let mut server = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs)?;
+//! let mut server = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs)?;
 //! server.push_requests(wl.batch(20));
 //! assert_eq!(server.serve()?, 20);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -53,14 +54,10 @@ pub mod telemetry;
 pub mod versions;
 pub mod workload;
 
-pub use edge::{
-    AcceptorHandle, Edge, EdgeAdmission, EdgeConfig, EdgeError, HashRing, Inbox, RoutePolicy,
-    Routed,
-};
+pub use edge::{Edge, EdgeAdmission, EdgeConfig, EdgeError, HashRing, Inbox, RoutePolicy, Routed};
 pub use fault::{CrashPoint, FaultPlan, InjectedCrash};
 pub use fleet::{
-    Fleet, FleetConfig, FleetError, RestartReport, RolloutPolicy, SupervisorConfig, WorkerFailure,
-    WorkerOverride,
+    Fleet, FleetConfig, FleetError, RestartReport, SupervisorConfig, WorkerFailure, WorkerOverride,
 };
 pub use fs::{AsyncFs, BufferCache, ReadCompletion, ReadTicket, SimFs};
 pub use guard::{
@@ -73,7 +70,7 @@ pub use rng::Rng;
 pub use rollout::{CohortReport, CohortSpec, Orchestrator, OrchestratorReport, RolloutPlan};
 pub use server::{
     latency_stats, BootError, Completion, EventLoopConfig, LatencyStats, ServeMode, Server,
-    ServerShared,
+    ServerConfig, ServerShared,
 };
 pub use telemetry::{FleetTelemetry, ServerTelemetry};
 pub use workload::{Workload, Zipf};
@@ -94,7 +91,8 @@ mod tests {
         for mode in [LinkMode::Static, LinkMode::Updateable] {
             let (fs, mut wl) = fixture();
             let fs_copy = fs.clone();
-            let mut s = Server::start(mode, &versions::v1(), "v1", fs).unwrap();
+            let cfg = ServerConfig::new().link_mode(mode);
+            let mut s = Server::start(&cfg, &versions::v1(), "v1", fs).unwrap();
             let reqs = wl.batch(50);
             s.push_requests(reqs.clone());
             assert_eq!(s.serve().unwrap(), 50);
@@ -116,7 +114,7 @@ mod tests {
     #[test]
     fn v1_handles_404_and_400() {
         let (fs, _) = fixture();
-        let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+        let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
         s.push_requests(vec![
             "GET /missing.html HTTP/1.0".to_string(),
             "BOGUS".to_string(),
@@ -130,7 +128,7 @@ mod tests {
     #[test]
     fn full_patch_stream_applies_mid_traffic() {
         let (fs, mut wl) = fixture();
-        let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+        let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
         let stream = patch_stream().unwrap();
 
         // Serve a batch on each version, queueing the next patch while
@@ -169,7 +167,7 @@ mod tests {
     #[test]
     fn cache_state_survives_the_type_change() {
         let (fs, mut wl) = fixture();
-        let mut s = Server::start(LinkMode::Updateable, &versions::v3(), "v3", fs).unwrap();
+        let mut s = Server::start(&ServerConfig::new(), &versions::v3(), "v3", fs).unwrap();
 
         // Warm the cache on v3.
         s.push_requests(wl.batch(100));
@@ -219,7 +217,7 @@ mod tests {
 
         // v4 mis-parses query strings -> 404.
         let mut s4 =
-            Server::start(LinkMode::Updateable, &versions::v4(), "v4", fs.clone()).unwrap();
+            Server::start(&ServerConfig::new(), &versions::v4(), "v4", fs.clone()).unwrap();
         s4.push_requests(vec![format!("GET {target}?q=1 HTTP/1.0")]);
         s4.serve().unwrap();
         assert_eq!(
@@ -230,7 +228,7 @@ mod tests {
         );
 
         // v5 strips the query -> 200.
-        let mut s5 = Server::start(LinkMode::Updateable, &versions::v5(), "v5", fs).unwrap();
+        let mut s5 = Server::start(&ServerConfig::new(), &versions::v5(), "v5", fs).unwrap();
         s5.push_requests(vec![format!("GET {target}?q=1 HTTP/1.0")]);
         s5.serve().unwrap();
         assert_eq!(
@@ -244,7 +242,7 @@ mod tests {
     #[test]
     fn served_total_counter_persists_across_updates() {
         let (fs, mut wl) = fixture();
-        let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+        let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
         s.push_requests(wl.batch(10));
         s.serve().unwrap();
         let gen = dsu_core::PatchGen::new()

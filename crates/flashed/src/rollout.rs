@@ -9,12 +9,11 @@
 //! [`BreachAction`] for when a gate trips. Every classic policy is a
 //! degenerate plan:
 //!
-//! * [`RolloutPolicy::Simultaneous`](crate::RolloutPolicy) — one
-//!   all-worker cohort, barrier-coordinated, no gate;
-//! * [`RolloutPolicy::Rolling`](crate::RolloutPolicy) — one cohort per
-//!   worker, no gate;
-//! * [`RolloutPolicy::Guarded`](crate::RolloutPolicy) — one cohort per
-//!   worker, canary first, gated.
+//! * [`RolloutPlan::simultaneous`] — one all-worker cohort,
+//!   barrier-coordinated, no gate;
+//! * [`RolloutPlan::rolling`] — one cohort per worker, no gate;
+//! * [`RolloutPlan::guarded`] — one cohort per worker, canary first,
+//!   gated.
 //!
 //! An [`Orchestrator`] drives one plan across *several* shard
 //! [`Fleet`]s at once: cohorts are resolved over the global worker set,
@@ -99,8 +98,8 @@ pub struct RolloutPlan {
 }
 
 impl RolloutPlan {
-    /// One all-worker cohort, barrier-coordinated, ungated — the
-    /// [`RolloutPolicy::Simultaneous`](crate::RolloutPolicy) shape.
+    /// One all-worker cohort, barrier-coordinated, ungated: every worker
+    /// pauses at its next update point, all apply at once, all resume.
     pub fn simultaneous() -> RolloutPlan {
         RolloutPlan {
             canary: 0,
@@ -113,8 +112,8 @@ impl RolloutPlan {
         }
     }
 
-    /// One cohort per worker, ungated — the
-    /// [`RolloutPolicy::Rolling`](crate::RolloutPolicy) shape.
+    /// One cohort per worker, ungated: workers apply one at a time while
+    /// the rest keep serving.
     pub fn rolling() -> RolloutPlan {
         RolloutPlan {
             canary: 0,
@@ -127,8 +126,8 @@ impl RolloutPlan {
         }
     }
 
-    /// One cohort per worker, canary first, every step gated — the
-    /// [`RolloutPolicy::Guarded`](crate::RolloutPolicy) shape.
+    /// One cohort per worker, canary first, every step judged against
+    /// `slo` before the next begins; `on_breach` says what a breach does.
     pub fn guarded(canary: usize, slo: PauseSlo, on_breach: BreachAction) -> RolloutPlan {
         RolloutPlan {
             canary,
@@ -820,7 +819,7 @@ impl Run<'_, '_> {
                 .shared()
                 .completions_len()
                 .saturating_sub(marks.completions),
-            queued: fleet.shared().queue_len(),
+            queued: fleet.queued(),
             sojourn_at_quantile,
             new_sheds: worker_t.map_or(0, |t| t.edge_sheds().saturating_sub(marks.sheds)),
         }

@@ -2,15 +2,15 @@
 //!
 //! A [`Server`] boots one FlashEd version inside a [`vm::Process`]
 //! (static or updateable link mode), wires the guest's externs to the
-//! simulated filesystem and request queue, and drives the guest `serve`
-//! loop through a [`dsu_core::Updater`] so queued dynamic patches apply at
-//! the guest's update points — mid-traffic, exactly like the paper's
-//! live-update experiments.
+//! simulated filesystem and its request [`Inbox`], and drives the guest
+//! `serve` loop through a [`dsu_core::Updater`] so queued dynamic patches
+//! apply at the guest's update points — mid-traffic, exactly like the
+//! paper's live-update experiments.
 //!
-//! Several servers can share one request queue and completion log through
-//! a [`ServerShared`]: that is the substrate of the multi-worker fleet in
-//! [`crate::fleet`], where each worker thread boots its own `Server`
-//! against a common queue.
+//! Several servers can share one completion log and clock through a
+//! [`ServerShared`], and one request queue by being handed the same
+//! inbox: that is the substrate of the multi-worker fleet in
+//! [`crate::fleet`], where each worker thread boots its own `Server`.
 //!
 //! Two serve modes are supported (see [`ServeMode`]):
 //!
@@ -91,10 +91,9 @@ pub struct Completion {
     /// and its response). Zero for the overwhelming majority of requests;
     /// non-zero exactly for requests in flight across an update point.
     pub update_pause: Duration,
-    /// Time the request waited in a routed edge inbox before a worker
-    /// pulled it. Zero when the request arrived through the legacy shared
-    /// queue (arrival instants are only stamped at the edge). End-to-end
-    /// sojourn — what a client of the edge observes — is
+    /// Time the request waited in its inbox before a worker pulled it,
+    /// measured from the admission stamp (see [`crate::Routed::accepted_at`]).
+    /// End-to-end sojourn — what a client observes — is
     /// `queue_wait + service`.
     pub queue_wait: Duration,
     /// Whether this response was matched to a queue pull. A response
@@ -167,16 +166,14 @@ impl fmt::Display for BootError {
 
 impl std::error::Error for BootError {}
 
-/// The host-side state one or more servers serve from: a request queue,
-/// a completion log, a guest log, and a common time epoch.
+/// The host-side state one or more servers report into: a completion
+/// log, a guest log, and a common time epoch.
 ///
-/// Cloning shares the underlying state — clones hand the *same* queue to
-/// several workers, which is how the fleet shards traffic. Completion
-/// timestamps from every sharing server are on the same clock
-/// (`started`), so merged completion streams order correctly.
+/// Cloning shares the underlying state — the fleet hands every worker a
+/// clone. Completion timestamps from every sharing server are on the
+/// same clock (`started`), so merged completion streams order correctly.
 #[derive(Clone)]
 pub struct ServerShared {
-    queue: Arc<Mutex<VecDeque<String>>>,
     completions: Arc<Mutex<Vec<Completion>>>,
     logs: Arc<Mutex<Vec<String>>>,
     started: Instant,
@@ -191,7 +188,6 @@ impl Default for ServerShared {
 impl fmt::Debug for ServerShared {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServerShared")
-            .field("queued_requests", &self.queue_len())
             .field(
                 "completions",
                 &self.completions.lock().expect("poisoned").len(),
@@ -204,24 +200,10 @@ impl ServerShared {
     /// Creates an empty shared state; `started` is now.
     pub fn new() -> ServerShared {
         ServerShared {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
             completions: Arc::new(Mutex::new(Vec::new())),
             logs: Arc::new(Mutex::new(Vec::new())),
             started: Instant::now(),
         }
-    }
-
-    /// Enqueues client requests.
-    pub fn push_requests<I>(&self, requests: I)
-    where
-        I: IntoIterator<Item = String>,
-    {
-        self.queue.lock().expect("poisoned").extend(requests);
-    }
-
-    /// Requests currently waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.queue.lock().expect("poisoned").len()
     }
 
     /// Completed responses so far (in completion order).
@@ -250,12 +232,6 @@ impl ServerShared {
         self.started.elapsed()
     }
 
-    /// Pops one request off the ingress queue — the edge acceptor's pull
-    /// side (workers routed through an edge never touch this queue).
-    pub(crate) fn pop_request(&self) -> Option<String> {
-        self.queue.lock().expect("poisoned").pop_front()
-    }
-
     /// Appends a host-synthesized completion (the edge's 503 shed
     /// responses). Recorded with `pulled: false` so latency stats skip it
     /// while drain accounting still counts it.
@@ -272,15 +248,14 @@ struct Admitted {
     id: u64,
     /// The raw request text, exactly as queued.
     request: String,
-    /// When the host pulled it off the shared queue — service time is
+    /// When the host pulled it off the inbox — service time is
     /// measured from here, so time parked on a read counts as service.
     pulled_at: Instant,
     /// When the prefetch read was submitted to a helper (event loop only).
     submitted: Option<Instant>,
     /// When the read completed and the request left the parked table.
     reaped: Option<Instant>,
-    /// Time the request sat in a routed edge inbox before admission
-    /// (zero for shared-queue arrivals).
+    /// Time the request sat in the inbox before admission.
     queue_wait: Duration,
 }
 
@@ -297,8 +272,7 @@ struct PullRec {
     reaped: Option<Instant>,
     /// When the guest picked the request up (`next_request` returning it).
     guest_at: Instant,
-    /// Time the request sat in a routed edge inbox before its pull
-    /// (zero for shared-queue arrivals).
+    /// Time the request sat in the inbox before its pull.
     queue_wait: Duration,
 }
 
@@ -414,10 +388,10 @@ pub struct Server {
     event: Option<Arc<EventState>>,
     /// Pull-id source shared with the `next_request` host closure.
     pull_ids: Arc<AtomicU64>,
-    /// The routed edge inbox this worker pulls from, if fronted by an
-    /// [`Edge`](crate::Edge). A routed worker never touches the shared
-    /// ingress queue — the acceptor is its only producer.
-    inbox: Option<Arc<Inbox>>,
+    /// The one queue this server pulls requests from: its own, a
+    /// fleet-wide shared one, or the inbox an [`Edge`](crate::Edge)
+    /// routes to it.
+    inbox: Arc<Inbox>,
     /// The filesystem handle the guest serves from (shared with the host
     /// closures; content is shared with every clone of the same disk).
     fs: Arc<SimFs>,
@@ -434,104 +408,109 @@ impl fmt::Debug for Server {
     }
 }
 
+/// What a [`Server`] boots with, built fluently:
+///
+/// ```
+/// use flashed::{EventLoopConfig, ServeMode, ServerConfig};
+/// let cfg = ServerConfig::new().serve_mode(ServeMode::EventLoop(EventLoopConfig::default()));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ServerConfig {
+    link_mode: LinkMode,
+    serve_mode: ServeMode,
+    shared: Option<ServerShared>,
+    telemetry: Option<ServerTelemetry>,
+    inbox: Option<Arc<Inbox>>,
+}
+
+impl Default for ServerConfig {
+    fn default() -> ServerConfig {
+        ServerConfig {
+            link_mode: LinkMode::Updateable,
+            serve_mode: ServeMode::Blocking,
+            shared: None,
+            telemetry: None,
+            inbox: None,
+        }
+    }
+}
+
+impl ServerConfig {
+    /// An updateable, blocking, untelemetered server with a private
+    /// completion log and its own unbounded inbox.
+    pub fn new() -> ServerConfig {
+        ServerConfig::default()
+    }
+
+    /// Sets the link mode.
+    pub fn link_mode(mut self, mode: LinkMode) -> ServerConfig {
+        self.link_mode = mode;
+        self
+    }
+
+    /// Sets the serve mode. [`ServeMode::EventLoop`] boots the AMPED
+    /// machinery — helper pool, buffer cache, drain hook — around the
+    /// same guest.
+    pub fn serve_mode(mut self, mode: ServeMode) -> ServerConfig {
+        self.serve_mode = mode;
+        self
+    }
+
+    /// Reports into caller-provided shared state — several servers handed
+    /// clones of the same [`ServerShared`] append to one completion log
+    /// on one clock.
+    pub fn shared(mut self, shared: ServerShared) -> ServerConfig {
+        self.shared = Some(shared);
+        self
+    }
+
+    /// Attaches telemetry: the journal is attached to the updater (every
+    /// patch lifecycle is recorded), and the request-path host calls
+    /// record pull/response counters, queue depth and service-time
+    /// observations as they happen.
+    pub fn telemetry(mut self, telemetry: ServerTelemetry) -> ServerConfig {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// Pulls requests from `inbox` — one an [`Edge`](crate::Edge) routes
+    /// into, or one shared with other servers — instead of a private one.
+    /// The guest's `next_request` (and the event loop's admission path)
+    /// drains it and nothing else.
+    pub fn inbox(mut self, inbox: Arc<Inbox>) -> ServerConfig {
+        self.inbox = Some(inbox);
+        self
+    }
+}
+
 impl Server {
-    /// Compiles `src` (a FlashEd version) and boots it over `fs` in the
-    /// given link mode, with a private queue and completion log.
+    /// Compiles `src` (a FlashEd version) and boots it over `fs` as `cfg`
+    /// describes.
     ///
     /// # Errors
     ///
     /// Returns [`BootError`] when the source does not compile or link.
-    pub fn start(mode: LinkMode, src: &str, version: &str, fs: SimFs) -> Result<Server, BootError> {
-        Server::start_shared(mode, src, version, fs, ServerShared::new())
-    }
-
-    /// Like [`Server::start`], but serving from caller-provided shared
-    /// state — several servers handed clones of the same [`ServerShared`]
-    /// pull from one queue and append to one completion log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    pub fn start_shared(
-        mode: LinkMode,
+    pub fn start(
+        cfg: &ServerConfig,
         src: &str,
         version: &str,
         fs: SimFs,
-        shared: ServerShared,
     ) -> Result<Server, BootError> {
-        Server::start_with(mode, src, version, fs, shared, None)
-    }
-
-    /// Like [`Server::start_shared`], with telemetry: the journal is
-    /// attached to the updater (every patch lifecycle is recorded), and
-    /// the request-path host calls record pull/response counters, queue
-    /// depth and service-time observations as they happen.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    pub fn start_with(
-        mode: LinkMode,
-        src: &str,
-        version: &str,
-        fs: SimFs,
-        shared: ServerShared,
-        telemetry: Option<ServerTelemetry>,
-    ) -> Result<Server, BootError> {
-        Server::start_full(
-            mode,
-            ServeMode::Blocking,
-            src,
-            version,
-            fs,
-            shared,
-            telemetry,
-        )
-    }
-
-    /// The full constructor: like [`Server::start_with`], plus the serve
-    /// mode. [`ServeMode::EventLoop`] boots the AMPED machinery — helper
-    /// pool, buffer cache, drain hook — around the same guest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_full(
-        mode: LinkMode,
-        serve_mode: ServeMode,
-        src: &str,
-        version: &str,
-        fs: SimFs,
-        shared: ServerShared,
-        telemetry: Option<ServerTelemetry>,
-    ) -> Result<Server, BootError> {
-        Server::start_routed(mode, serve_mode, src, version, fs, shared, telemetry, None)
-    }
-
-    /// Like [`Server::start_full`], but pulling from a routed edge
-    /// `inbox` instead of the shared ingress queue. The worker's
-    /// `next_request` path (and the event loop's admission path) drains
-    /// the inbox exclusively; completion timestamps stay on the shared
-    /// clock so routed and shared-queue completion streams merge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BootError`] when the source does not compile or link.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_routed(
-        mode: LinkMode,
-        serve_mode: ServeMode,
-        src: &str,
-        version: &str,
-        fs: SimFs,
-        shared: ServerShared,
-        telemetry: Option<ServerTelemetry>,
-        inbox: Option<Arc<Inbox>>,
-    ) -> Result<Server, BootError> {
+        let shared = cfg.shared.clone().unwrap_or_default();
+        let telemetry = cfg.telemetry.clone();
+        let inbox = cfg
+            .inbox
+            .clone()
+            .unwrap_or_else(|| Arc::new(Inbox::unbounded()));
         let module = popcorn::compile(src, "flashed", version, &popcorn::Interface::new())
             .map_err(BootError::Compile)?;
-        let mut proc = Process::new(mode);
+        let mut proc = Process::new(cfg.link_mode);
+        // An idle host blocks on the inbox; a patch queued from another
+        // thread arms the update signal, which must wake it.
+        {
+            let inbox = Arc::clone(&inbox);
+            proc.set_update_wake(Box::new(move || inbox.poke()));
+        }
         let updater = Updater::new();
         if let Some(tel) = &telemetry {
             updater.set_journal(tel.journal().clone(), tel.worker());
@@ -542,7 +521,7 @@ impl Server {
 
         let fs = Arc::new(fs);
         let started = shared.started;
-        let event = match serve_mode {
+        let event = match cfg.serve_mode {
             ServeMode::Blocking => None,
             ServeMode::EventLoop(cfg) => Some(Arc::new(EventState {
                 afs: AsyncFs::new((*fs).clone(), cfg.helpers, cfg.cache_entries),
@@ -643,12 +622,11 @@ impl Server {
         let outstanding: Arc<Mutex<VecDeque<PullRec>>> = Arc::new(Mutex::new(VecDeque::new()));
         let pull_ids = Arc::new(AtomicU64::new(0));
         {
-            let queue = Arc::clone(&shared.queue);
             let outstanding = Arc::clone(&outstanding);
             let pull_ids = Arc::clone(&pull_ids);
             let event = event.clone();
             let tel = telemetry.clone();
-            let inbox = inbox.clone();
+            let inbox = Arc::clone(&inbox);
             proc.register_host(
                 "next_request",
                 FnSig::new(vec![], Ty::Str),
@@ -674,31 +652,10 @@ impl Server {
                             None => Ok(Value::str("")),
                         };
                     }
-                    // Routed worker: the inbox is the only request
-                    // source — the acceptor owns the shared ingress
-                    // queue, so the per-worker pull path never contends
-                    // on the fleet-wide lock.
-                    let (req, remaining, queue_wait) = match &inbox {
-                        Some(inbox) => match inbox.pop() {
-                            Some(routed) => (
-                                Some(routed.request),
-                                inbox.depth(),
-                                routed.accepted_at.elapsed(),
-                            ),
-                            None => (None, 0, Duration::ZERO),
-                        },
-                        None => {
-                            let mut q = queue.lock().expect("poisoned");
-                            (q.pop_front(), q.len(), Duration::ZERO)
-                        }
-                    };
-                    match req {
-                        Some(req) => {
+                    match inbox.pop() {
+                        Some(routed) => {
                             if let Some(tel) = &tel {
-                                tel.record_pull(remaining);
-                                if inbox.is_some() {
-                                    tel.set_edge_depth(remaining);
-                                }
+                                tel.record_pull(inbox.depth());
                             }
                             let id = pull_ids.fetch_add(1, Ordering::Relaxed) + 1;
                             let now = Instant::now();
@@ -708,9 +665,9 @@ impl Server {
                                 submitted: None,
                                 reaped: None,
                                 guest_at: now,
-                                queue_wait,
+                                queue_wait: now.saturating_duration_since(routed.accepted_at),
                             });
-                            Ok(Value::str(&req))
+                            Ok(Value::str(&routed.request))
                         }
                         None => Ok(Value::str("")),
                     }
@@ -798,12 +755,14 @@ impl Server {
         })
     }
 
-    /// Enqueues client requests.
+    /// Enqueues client requests straight into this server's inbox,
+    /// stamped as admitted now. A request that does not fit a bounded
+    /// inbox is dropped and counted in [`Inbox::sheds`].
     pub fn push_requests<I>(&self, requests: I)
     where
         I: IntoIterator<Item = String>,
     {
-        self.shared.push_requests(requests);
+        self.inbox.admit_all(requests);
     }
 
     /// Queues a dynamic patch; it applies at the next guest update point
@@ -812,7 +771,7 @@ impl Server {
         self.updater.enqueue(&mut self.proc, patch);
     }
 
-    /// Runs the guest `serve` loop until the request queue drains.
+    /// Runs the guest `serve` loop until the inbox drains.
     /// Returns the number of requests the guest reports having served.
     ///
     /// In [`ServeMode::EventLoop`] this drives the AMPED loop: admit a
@@ -862,11 +821,7 @@ impl Server {
                     return Err(RunError::Update(e));
                 }
             }
-            let ingress_empty = match &self.inbox {
-                Some(inbox) => inbox.depth() == 0,
-                None => self.shared.queue_len() == 0,
-            };
-            if ev.is_idle() && ingress_empty {
+            if ev.is_idle() && self.inbox.depth() == 0 {
                 break;
             }
             if !have_ready {
@@ -878,8 +833,8 @@ impl Server {
         Ok(served)
     }
 
-    /// Pulls requests off the shared queue into the event loop until the
-    /// in-flight window is full or the queue is empty. Requests needing a
+    /// Pulls requests off the inbox into the event loop until the
+    /// in-flight window is full or the inbox is empty. Requests needing a
     /// device read are parked on their ticket; the rest go straight to
     /// `ready`.
     fn admit(&mut self, ev: &Arc<EventState>) {
@@ -887,36 +842,20 @@ impl Server {
             if ev.parked.lock().expect("poisoned").len() >= ev.cfg.max_in_flight {
                 return;
             }
-            // Routed workers admit from their edge inbox; the shared
-            // ingress queue belongs to the acceptor.
-            let (req, remaining, queue_wait) = match &self.inbox {
-                Some(inbox) => match inbox.pop() {
-                    Some(routed) => (
-                        Some(routed.request),
-                        inbox.depth(),
-                        routed.accepted_at.elapsed(),
-                    ),
-                    None => (None, 0, Duration::ZERO),
-                },
-                None => {
-                    let mut q = self.shared.queue.lock().expect("poisoned");
-                    (q.pop_front(), q.len(), Duration::ZERO)
-                }
+            let Some(routed) = self.inbox.pop() else {
+                return;
             };
-            let Some(req) = req else { return };
             if let Some(tel) = &self.telemetry {
-                tel.record_pull(remaining);
-                if self.inbox.is_some() {
-                    tel.set_edge_depth(remaining);
-                }
+                tel.record_pull(self.inbox.depth());
             }
+            let pulled_at = Instant::now();
             let mut entry = Admitted {
                 id: self.pull_ids.fetch_add(1, Ordering::Relaxed) + 1,
-                request: req,
-                pulled_at: Instant::now(),
+                request: routed.request,
+                pulled_at,
                 submitted: None,
                 reaped: None,
-                queue_wait,
+                queue_wait: pulled_at.saturating_duration_since(routed.accepted_at),
             };
             match prefetch_path(&entry.request, ev.afs.fs()) {
                 // No device read will happen (400/404): ready now.
@@ -1056,8 +995,9 @@ impl Server {
         self.pauses_seen = pauses.len();
     }
 
-    /// The shared state this server serves from (clone to share the queue
-    /// with another server, or to observe completions from outside).
+    /// The shared state this server reports into (clone to observe
+    /// completions from outside, or to boot another server onto the same
+    /// log and clock).
     pub fn shared(&self) -> ServerShared {
         self.shared.clone()
     }

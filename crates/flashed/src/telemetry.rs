@@ -26,7 +26,7 @@ use vm::{ExecStats, ExecStatsShared};
 /// Metric names exposed by every FlashEd server. Public so tests and
 /// dashboards don't hard-code strings.
 pub mod names {
-    /// Requests pulled off the shared queue (counter).
+    /// Requests pulled off an inbox (counter).
     pub const REQUESTS_PULLED: &str = "flashed_requests_pulled_total";
     /// Responses sent (counter; includes unpulled responses).
     pub const RESPONSES: &str = "flashed_responses_total";
@@ -34,7 +34,7 @@ pub mod names {
     pub const SERVICE_SECONDS: &str = "flashed_request_service_seconds";
     /// Update-pause durations (histogram).
     pub const UPDATE_PAUSE_SECONDS: &str = "flashed_update_pause_seconds";
-    /// Requests waiting in the shared queue (gauge, sampled at pulls).
+    /// Requests waiting in the worker's inbox (gauge, sampled at pulls).
     pub const QUEUE_DEPTH: &str = "flashed_queue_depth";
     /// Requests waiting in this worker's edge inbox (gauge, written by
     /// the edge at routing time and by the worker at pulls — the same
@@ -159,10 +159,8 @@ impl ServerTelemetry {
     }
 
     fn build(journal: Journal, registry: Registry, worker: Option<usize>) -> ServerTelemetry {
-        let requests_pulled = registry.counter(
-            names::REQUESTS_PULLED,
-            "requests pulled off the shared queue",
-        );
+        let requests_pulled =
+            registry.counter(names::REQUESTS_PULLED, "requests pulled off an inbox");
         let responses = registry.counter(names::RESPONSES, "responses sent");
         let service = registry.histogram(
             names::SERVICE_SECONDS,
@@ -181,7 +179,7 @@ impl ServerTelemetry {
         );
         let queue_depth = registry.gauge(
             names::QUEUE_DEPTH,
-            "requests waiting in the shared queue (sampled at pulls)",
+            "requests waiting in the worker's inbox (sampled at pulls)",
         );
         let edge_depth = registry.gauge(
             names::EDGE_QUEUE_DEPTH,
@@ -331,6 +329,7 @@ impl ServerTelemetry {
     pub(crate) fn record_pull(&self, queue_remaining: usize) {
         self.requests_pulled.inc();
         self.queue_depth.set(queue_remaining as i64);
+        self.set_edge_depth(queue_remaining);
     }
 
     /// Publishes this worker's live edge-inbox depth. Written by the

@@ -6,10 +6,9 @@ use std::time::{Duration, Instant};
 
 use dsu_obs::journal::validate_lifecycle;
 use flashed::{
-    versions, EventLoopConfig, Fleet, FleetConfig, RolloutPolicy, ServeMode, Server, ServerShared,
+    versions, EventLoopConfig, Fleet, FleetConfig, RolloutPlan, ServeMode, Server, ServerConfig,
     ServerTelemetry, SimFs, WorkerOverride, Workload,
 };
-use vm::LinkMode;
 
 fn event_mode(helpers: usize, max_in_flight: usize) -> ServeMode {
     ServeMode::EventLoop(EventLoopConfig {
@@ -31,18 +30,15 @@ fn event_loop_serves_identical_responses() {
     let requests = wl.batch(80);
 
     let mut blocking =
-        Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs.clone()).unwrap();
+        Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs.clone()).unwrap();
     blocking.push_requests(requests.clone());
     blocking.serve().unwrap();
 
-    let mut amped = Server::start_full(
-        LinkMode::Updateable,
-        event_mode(4, 8),
+    let mut amped = Server::start(
+        &ServerConfig::new().serve_mode(event_mode(4, 8)),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        None,
     )
     .unwrap();
     amped.push_requests(requests);
@@ -85,20 +81,17 @@ fn event_loop_overlaps_reads_and_counts_cache_traffic() {
     let sweep = wl.sweep(16); // every document exactly once
 
     let mut blocking =
-        Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs.clone()).unwrap();
+        Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs.clone()).unwrap();
     blocking.push_requests(sweep.clone());
     let t0 = Instant::now();
     blocking.serve().unwrap();
     let blocking_elapsed = t0.elapsed();
 
-    let mut amped = Server::start_full(
-        LinkMode::Updateable,
-        event_mode(16, 16),
+    let mut amped = Server::start(
+        &ServerConfig::new().serve_mode(event_mode(16, 16)),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        None,
     )
     .unwrap();
     amped.push_requests(sweep.clone());
@@ -139,14 +132,13 @@ fn update_mid_loop_drains_parked_requests() {
     let tel = ServerTelemetry::new();
     // One helper: reads complete serially, so when the guest hits its
     // first update point most of the window is still parked.
-    let mut server = Server::start_full(
-        LinkMode::Updateable,
-        event_mode(1, 8),
+    let mut server = Server::start(
+        &ServerConfig::new()
+            .serve_mode(event_mode(1, 8))
+            .telemetry(tel.clone()),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        Some(tel.clone()),
     )
     .unwrap();
 
@@ -203,12 +195,14 @@ fn amped_fleet_rollouts_drain_and_reconcile() {
 
     fleet.push_requests(wl.batch(300));
     let rolling = fleet
-        .rollout(&stream[0].patch, RolloutPolicy::Rolling)
-        .unwrap();
+        .rollout_plan(&stream[0].patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     fleet.push_requests(wl.batch(300));
     let simultaneous = fleet
-        .rollout(&stream[1].patch, RolloutPolicy::Simultaneous)
-        .unwrap();
+        .rollout_plan(&stream[1].patch, &RolloutPlan::simultaneous())
+        .unwrap()
+        .fleet_report;
     fleet.drain(600).unwrap();
 
     assert_eq!(rolling.applied.len(), 2);
@@ -285,7 +279,7 @@ fun serve(): int {
 }
 "#;
     let fs = SimFs::generate_fixed(2, 64, 1);
-    let mut server = Server::start(LinkMode::Updateable, src, "v1", fs).unwrap();
+    let mut server = Server::start(&ServerConfig::new(), src, "v1", fs).unwrap();
     server.push_requests(vec!["GET /a HTTP/1.0".into(), "GET /b HTTP/1.0".into()]);
     assert_eq!(server.serve().unwrap(), 2);
 

@@ -11,8 +11,8 @@ use dsu_obs::journal::validate_lifecycle;
 use flashed::telemetry::names;
 use flashed::{
     parse_response, patch_stream, versions, BreachAction, Completion, Edge, EdgeConfig, EdgeError,
-    Fleet, FleetConfig, FleetError, FleetTelemetry, PauseSlo, RolloutOutcome, RolloutPlan,
-    RoutePolicy, ServerShared, SimFs, Workload,
+    Fleet, FleetConfig, FleetError, FleetTelemetry, Inbox, PauseSlo, RolloutOutcome, RolloutPlan,
+    RoutePolicy, Routed, ServerShared, SimFs, Workload,
 };
 use vm::LinkMode;
 
@@ -158,8 +158,8 @@ fn routed_fleet_serves_correctly_and_exports_edge_series() {
         .with_telemetry();
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
 
-    // Legacy ingress: push_requests lands on the shared queue; the
-    // acceptor routes it into the inboxes.
+    // push_requests on a routed fleet goes through `Edge::submit_all`:
+    // every request is routed into a worker inbox on the caller's thread.
     let reqs = wl.batch(200);
     fleet.push_requests(reqs.clone());
     fleet.drain(200).unwrap();
@@ -241,12 +241,10 @@ fn queue_stall_attributes_backlog_per_worker() {
     // checks).
     match fleet.drain(5).unwrap_err() {
         FleetError::QueueStall {
-            ingress,
             per_worker,
             completed,
             expected,
         } => {
-            assert_eq!(ingress, 0);
             assert_eq!(per_worker, vec![0, 0, 0]);
             assert_eq!(completed, 0);
             assert_eq!(expected, 5);
@@ -340,4 +338,80 @@ fn staged_rollout_under_load_holds_the_sojourn_slo() {
     }
 
     fleet.shutdown().unwrap();
+}
+
+/// The timeout every `Inbox::wait` below is given. A lost wake-up sits
+/// it out in full, so "came back well inside it" is the whole assertion
+/// and no case races a short sleep.
+const LONG: Duration = Duration::from_secs(5);
+
+fn routed(request: &str) -> Routed {
+    Routed {
+        request: request.to_string(),
+        accepted_at: Instant::now(),
+    }
+}
+
+/// Waits (from poke count `seen`) and asserts the wait ended early.
+fn wait_wakes(inbox: &Inbox, seen: u64) -> u64 {
+    let t0 = Instant::now();
+    let seen = inbox.wait(seen, LONG);
+    assert!(t0.elapsed() < LONG / 2, "wait sat out its timeout");
+    seen
+}
+
+#[test]
+fn inbox_wait_returns_at_once_when_non_empty() {
+    let inbox = Inbox::unbounded();
+    inbox.try_push(routed("a")).unwrap();
+    wait_wakes(&inbox, 0);
+}
+
+#[test]
+fn inbox_wait_returns_on_a_push_from_another_thread() {
+    let inbox = Inbox::unbounded();
+    std::thread::scope(|s| {
+        // The delay only makes "pushed mid-wait" the likely order; a push
+        // that lands first ends the wait just the same.
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(20));
+            inbox.try_push(routed("a")).unwrap();
+        });
+        let t0 = Instant::now();
+        while inbox.depth() == 0 {
+            inbox.wait(0, LONG);
+        }
+        assert!(t0.elapsed() < LONG / 2, "wait sat out its timeout");
+    });
+}
+
+#[test]
+fn inbox_poke_before_the_wait_is_not_lost() {
+    let inbox = Inbox::unbounded();
+    inbox.poke();
+    let seen = wait_wakes(&inbox, 0);
+    // The same consumer sees each poke once; a later one wakes it again.
+    inbox.poke();
+    assert_ne!(wait_wakes(&inbox, seen), seen);
+}
+
+#[test]
+fn two_consumers_on_one_inbox_each_get_one_of_two_pushes() {
+    let inbox = Arc::new(Inbox::unbounded());
+    let consumers: Vec<_> = (0..2)
+        .map(|_| {
+            let inbox = Arc::clone(&inbox);
+            std::thread::spawn(move || loop {
+                if let Some(r) = inbox.pop() {
+                    return r.request;
+                }
+                wait_wakes(&inbox, 0);
+            })
+        })
+        .collect();
+    inbox.try_push(routed("a")).unwrap();
+    inbox.try_push(routed("b")).unwrap();
+    let mut got: Vec<String> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
+    got.sort();
+    assert_eq!(got, vec!["a", "b"]);
 }

@@ -1,15 +1,27 @@
 //! Multi-worker fleet behaviour: sharding, coordinated rollouts, and
 //! partial-failure handling.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use flashed::{patch_stream, versions, Fleet, RolloutPolicy, SimFs, Workload};
-use vm::LinkMode;
+use dsu_core::UpdaterRemote;
+use flashed::{
+    patch_stream, versions, EdgeConfig, Fleet, FleetConfig, RolloutPlan, RoutePolicy, SimFs,
+    Workload,
+};
 
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 7);
     let wl = Workload::new(fs.paths(), 1.0, 29);
     (fs, wl)
+}
+
+/// Blocks until the worker behind `remote` has applied `n` operations.
+fn await_applied(remote: &UpdaterRemote, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while remote.applied_count() < n {
+        assert!(Instant::now() < deadline, "worker never applied op {n}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
 }
 
 /// True when every worker's most recent pause window shares a common
@@ -35,7 +47,7 @@ fn fleet_shards_one_queue_across_workers() {
     // long enough that no single worker can drain the queue alone while
     // the others are still inside their idle wait.
     fs.set_read_latency(Duration::from_micros(20));
-    let fleet = Fleet::start(4, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(4), &versions::v1(), "v1", &fs).unwrap();
     assert_eq!(fleet.worker_count(), 4);
     fleet.push_requests(wl.batch(400));
     fleet.drain(400).unwrap();
@@ -56,13 +68,14 @@ fn fleet_shards_one_queue_across_workers() {
 #[test]
 fn simultaneous_rollout_updates_every_worker_at_once() {
     let (fs, mut wl) = fixture();
-    let fleet = Fleet::start(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     fleet.push_requests(wl.batch(300));
     let report = fleet
-        .rollout(&gen.patch, RolloutPolicy::Simultaneous)
-        .unwrap();
+        .rollout_plan(&gen.patch, &RolloutPlan::simultaneous())
+        .unwrap()
+        .fleet_report;
     assert!(report.complete(), "{report}");
     assert_eq!(report.applied.len(), 3);
     assert!(report.failed.is_empty());
@@ -99,11 +112,14 @@ fn rolling_rollout_never_stops_serving() {
     // first worker applies: the rollout must land mid-traffic for the
     // version-skew assertions below to be meaningful.
     let fs = fs.with_read_latency(Duration::from_micros(100));
-    let fleet = Fleet::start(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     fleet.push_requests(wl.batch(600));
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert!(report.complete(), "{report}");
     assert_eq!(report.applied.len(), 3);
     // Rolling serializes the applies: the three pause windows cannot all
@@ -127,22 +143,21 @@ fn rolling_rollout_never_stops_serving() {
 #[test]
 fn one_failing_worker_does_not_stop_the_fleet_rolling_forward() {
     let (fs, mut wl) = fixture();
-    let fleet = Fleet::start(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     // Canary the patch on worker 0 alone; it applies there.
     let canary = fleet.remote(0);
     canary.enqueue(gen.patch.clone());
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while canary.applied_count() == 0 {
-        assert!(std::time::Instant::now() < deadline, "canary never applied");
-        std::thread::sleep(Duration::from_micros(200));
-    }
+    await_applied(&canary, 1);
 
     // Fleet-wide rollout of the same patch: worker 0 (already on v2)
     // rejects it — v2's additions collide with its own bindings — while
     // workers 1 and 2 roll forward.
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert!(!report.complete(), "{report}");
     assert_eq!(report.applied.len(), 2, "{report}");
     assert_eq!(report.failed.len(), 1, "{report}");
@@ -157,4 +172,26 @@ fn one_failing_worker_does_not_stop_the_fleet_rolling_forward() {
     fleet.drain(300).unwrap();
     assert_eq!(fleet.completions().len(), 300);
     fleet.shutdown().unwrap();
+}
+
+/// An idle worker is blocked on its inbox, not polling: anything queued
+/// through a bare remote — no rollout driver, no request traffic — must
+/// wake it, behind an edge (its own inbox) and without one (the inbox
+/// it shares with its idle neighbour).
+#[test]
+fn bare_remote_enqueue_reaches_an_idle_worker() {
+    let (fs, _) = fixture();
+    let gen = &patch_stream().unwrap()[0]; // v1 -> v2
+    let routed = FleetConfig::new(2).with_edge(EdgeConfig::new(RoutePolicy::RoundRobin));
+    for cfg in [FleetConfig::new(2), routed] {
+        let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
+        let remote = fleet.remote(1);
+        remote.enqueue(gen.patch.clone());
+        await_applied(&remote, 1);
+        assert_eq!(fleet.live_versions(), vec!["v1", "v2"]);
+        assert_eq!(remote.enqueue_rollback_chain(1), 1);
+        await_applied(&remote, 2);
+        assert_eq!(fleet.live_versions(), vec!["v1", "v1"]);
+        fleet.shutdown().unwrap();
+    }
 }

@@ -8,11 +8,10 @@ use dsu_obs::journal::validate_lifecycle;
 use dsu_obs::Stage;
 use flashed::fault::{trapping_patch, FaultPlan};
 use flashed::{
-    parse_response, patch_stream, versions, BreachAction, EventLoopConfig, Fleet, FleetConfig,
-    FleetError, HealthBreach, PauseSlo, RolloutOutcome, RolloutPolicy, ServeMode, Server,
-    ServerShared, ServerTelemetry, SimFs, WorkerOverride, Workload,
+    parse_response, patch_stream, versions, BreachAction, EdgeConfig, EventLoopConfig, Fleet,
+    FleetConfig, FleetError, HealthBreach, PauseSlo, RolloutOutcome, RolloutPlan, RoutePolicy,
+    ServeMode, Server, ServerConfig, ServerTelemetry, SimFs, WorkerOverride, Workload,
 };
-use vm::LinkMode;
 
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 7);
@@ -36,16 +35,10 @@ fn write_through_invalidation_serves_fresh_bytes() {
     let (fs, _) = fixture();
     let path = fs.paths()[0].clone();
     let tel = ServerTelemetry::new();
-    let mut s = Server::start_full(
-        LinkMode::Updateable,
-        ServeMode::EventLoop(EventLoopConfig::default()),
-        &versions::v1(),
-        "v1",
-        fs,
-        ServerShared::new(),
-        Some(tel.clone()),
-    )
-    .unwrap();
+    let cfg = ServerConfig::new()
+        .serve_mode(ServeMode::EventLoop(EventLoopConfig::default()))
+        .telemetry(tel.clone());
+    let mut s = Server::start(&cfg, &versions::v1(), "v1", fs).unwrap();
 
     // Warm the cache, then read through it.
     s.push_requests(vec![
@@ -75,16 +68,22 @@ fn write_through_invalidation_serves_fresh_bytes() {
 #[test]
 fn rolling_rollout_survives_a_trapping_transformer_everywhere() {
     let (fs, mut wl) = fixture();
-    let fleet =
-        Fleet::start_telemetry(3, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(3).with_telemetry(),
+        &versions::v1(),
+        "v1",
+        &fs,
+    )
+    .unwrap();
     fleet.push_requests(wl.batch(150));
 
     // Every worker rejects the patch (its transformer traps mid-apply);
     // apply_patch restores each worker's pre-apply snapshot and the
     // fleet keeps serving v1.
     let report = fleet
-        .rollout(&trapping_patch(), RolloutPolicy::Rolling)
-        .unwrap();
+        .rollout_plan(&trapping_patch(), &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert!(report.applied.is_empty());
     assert_eq!(report.failed.len(), 3);
     for (_, f) in &report.failed {
@@ -138,7 +137,7 @@ fn rolling_rollout_stall_becomes_partial_rollout() {
     fleet.push_requests(wl.batch(60));
 
     let err = fleet
-        .rollout(&forward_patch(), RolloutPolicy::Rolling)
+        .rollout_plan(&forward_patch(), &RolloutPlan::rolling())
         .unwrap_err();
     match &err {
         FleetError::PartialRollout { updated, remaining } => {
@@ -185,16 +184,10 @@ fn guarded_breach_rolls_every_updated_worker_back() {
     fleet.push_requests(wl.batch(150));
 
     let slo = PauseSlo::p99(Duration::from_millis(2));
-    let (report, card) = fleet
-        .rollout_guarded(
-            &forward_patch(),
-            0,
-            slo,
-            BreachAction::RollBack {
-                inverse: Some(Box::new(inverse_patch())),
-            },
-        )
-        .unwrap();
+    let inverse = Some(Box::new(inverse_patch()));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::RollBack { inverse });
+    let run = fleet.rollout_plan(&forward_patch(), &plan).unwrap();
+    let (report, card) = (run.fleet_report, run.card);
 
     // The canary breached on its pause tail and the rollout healed
     // itself: the forward apply landed, was judged, and was undone.
@@ -303,18 +296,14 @@ fn guarded_hold_keeps_the_line_and_read_errors_surface() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     fleet.push_requests(wl.batch(80));
 
-    // Through the policy enum: the breach holds the line instead of
-    // rolling back, leaving the canary on the new version.
+    // The breach holds the line instead of rolling back, leaving the
+    // canary on the new version.
+    let slo = PauseSlo::p99(Duration::from_millis(2));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::Hold);
     let report = fleet
-        .rollout(
-            &forward_patch(),
-            RolloutPolicy::Guarded {
-                canary: 0,
-                pause_slo: PauseSlo::p99(Duration::from_millis(2)),
-                on_breach: BreachAction::Hold,
-            },
-        )
-        .unwrap();
+        .rollout_plan(&forward_patch(), &plan)
+        .unwrap()
+        .fleet_report;
     assert_eq!(report.applied.len(), 1, "only the canary took the patch");
     fleet.drain(80).unwrap();
     assert_eq!(fleet.live_versions(), vec!["v2", "v1"]);
@@ -331,5 +320,29 @@ fn guarded_hold_keeps_the_line_and_read_errors_surface() {
         "read errors never surfaced"
     );
     assert_eq!(tel.worker(1).read_errors(), 0);
+    fleet.shutdown().unwrap();
+}
+
+/// The gate's completion-liveness check needs the backlog wherever it
+/// waits. Behind an edge that is the worker inboxes: 300 requests at
+/// 2 ms a read outlast both steps many times over, and every step's
+/// health reading must say so.
+#[test]
+fn health_gate_counts_backlog_waiting_in_worker_inboxes() {
+    let (fs, mut wl) = fixture();
+    let fs = fs.with_read_latency(Duration::from_millis(2));
+    let cfg = FleetConfig::new(2).with_edge(EdgeConfig::new(RoutePolicy::RoundRobin));
+    let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
+    fleet.push_requests(wl.batch(300));
+
+    let slo = PauseSlo::p99(Duration::from_millis(500));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::Hold);
+    let card = fleet.rollout_plan(&forward_patch(), &plan).unwrap().card;
+    assert_eq!(card.outcome, RolloutOutcome::Completed);
+    assert_eq!(card.steps.len(), 2);
+    for step in &card.steps {
+        assert!(step.queued > 0, "gate read an empty backlog: {step:?}");
+    }
+    fleet.drain(300).unwrap();
     fleet.shutdown().unwrap();
 }

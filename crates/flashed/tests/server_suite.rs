@@ -1,6 +1,9 @@
 //! FlashEd harness behaviour suite.
 
-use flashed::{latency_stats, parse_response, patch_stream, versions, Server, SimFs, Workload};
+use flashed::{
+    latency_stats, parse_response, patch_stream, versions, Server, ServerConfig, SimFs, Workload,
+};
+use std::time::Duration;
 use vm::{LinkMode, Value};
 
 fn small_fixture() -> (SimFs, Workload) {
@@ -12,7 +15,7 @@ fn small_fixture() -> (SimFs, Workload) {
 #[test]
 fn latency_stats_percentiles() {
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
     s.push_requests(wl.batch(200));
     s.serve().unwrap();
     let stats = latency_stats(&s.completions());
@@ -30,7 +33,7 @@ fn latency_stats_rejects_empty() {
 #[test]
 fn serve_returns_per_batch_counts_and_accumulates_total() {
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
     s.push_requests(wl.batch(5));
     assert_eq!(s.serve().unwrap(), 5);
     s.push_requests(wl.batch(7));
@@ -44,7 +47,7 @@ fn serve_returns_per_batch_counts_and_accumulates_total() {
 #[test]
 fn take_completions_drains() {
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
     s.push_requests(wl.batch(3));
     s.serve().unwrap();
     assert_eq!(s.take_completions().len(), 3);
@@ -57,7 +60,7 @@ fn miss_and_bad_workloads_get_correct_statuses() {
     let mut wl = Workload::new(fs.paths(), 1.0, 5)
         .with_miss_rate(0.3)
         .with_bad_rate(0.2);
-    let mut s = Server::start(LinkMode::Updateable, &versions::v2(), "v2", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v2(), "v2", fs).unwrap();
     s.push_requests(wl.batch(300));
     s.serve().unwrap();
     let (mut ok, mut missing, mut bad) = (0, 0, 0);
@@ -79,7 +82,7 @@ fn cache_respects_capacity_bound() {
     // More distinct files than cache_cap (64): cache must not grow past it.
     let fs = SimFs::generate_fixed(100, 64, 9);
     let mut wl = Workload::new(fs.paths(), 0.0 /* uniform */, 9);
-    let mut s = Server::start(LinkMode::Updateable, &versions::v3(), "v3", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v3(), "v3", fs).unwrap();
     s.push_requests(wl.batch(500));
     s.serve().unwrap();
     let Some(Value::Array(cache)) = s.process().global_value("cache") else {
@@ -92,7 +95,7 @@ fn cache_respects_capacity_bound() {
 fn cached_responses_match_uncached() {
     let (fs, _) = small_fixture();
     let target = fs.paths()[0].clone();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v3(), "v3", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v3(), "v3", fs).unwrap();
     s.push_requests(vec![
         format!("GET {target} HTTP/1.0"),
         format!("GET {target} HTTP/1.0"),
@@ -111,7 +114,13 @@ fn static_server_cannot_be_patched_usefully() {
     // their targets: Flash (static) stays on old behaviour. This pins the
     // baseline semantics the overhead experiments rely on.
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Static, &versions::v1(), "v1", fs).unwrap();
+    let mut s = Server::start(
+        &ServerConfig::new().link_mode(LinkMode::Static),
+        &versions::v1(),
+        "v1",
+        fs,
+    )
+    .unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2 (adds content-type)
     s.queue_patch(gen.patch.clone());
     s.push_requests(wl.batch(4));
@@ -127,12 +136,12 @@ fn static_server_cannot_be_patched_usefully() {
 #[test]
 fn logs_only_appear_from_v5() {
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v4(), "v4", fs.clone()).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v4(), "v4", fs.clone()).unwrap();
     s.push_requests(wl.batch(5));
     s.serve().unwrap();
     assert!(s.logs().is_empty());
 
-    let mut s = Server::start(LinkMode::Updateable, &versions::v5(), "v5", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v5(), "v5", fs).unwrap();
     s.push_requests(wl.batch(5));
     s.serve().unwrap();
     assert_eq!(s.logs().len(), 5);
@@ -142,7 +151,7 @@ fn logs_only_appear_from_v5() {
 #[test]
 fn elapsed_is_monotone_with_completions() {
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
     s.push_requests(wl.batch(50));
     s.serve().unwrap();
     let done = s.completions();
@@ -179,15 +188,13 @@ fun serve(): int {
 #[test]
 fn in_request_update_pause_is_excluded_from_service_time() {
     use dsu_core::PatchGen;
-    use std::time::Duration;
 
     let v2 = MID_REQUEST_V1.replace("\"old:\"", "\"new:\"");
     let gen = PatchGen::new()
         .generate(MID_REQUEST_V1, &v2, "v1", "v2")
         .unwrap();
 
-    let mut s =
-        Server::start(vm::LinkMode::Updateable, MID_REQUEST_V1, "v1", SimFs::new()).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), MID_REQUEST_V1, "v1", SimFs::new()).unwrap();
     s.push_requests((0..10).map(|i| format!("req-{i}")));
     s.queue_patch(gen.patch);
     assert_eq!(s.serve().unwrap(), 10);
@@ -235,12 +242,12 @@ fn response_without_a_pull_is_flagged_and_excluded_from_stats() {
 extern fun send_response(r: string): unit;
 fun serve(): int { send_response("unsolicited"); return 0; }
 "#;
-    let mut s = Server::start(vm::LinkMode::Updateable, SPONTANEOUS, "v1", SimFs::new()).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), SPONTANEOUS, "v1", SimFs::new()).unwrap();
     assert_eq!(s.serve().unwrap(), 0);
     let cs = s.completions();
     assert_eq!(cs.len(), 1);
     assert!(!cs[0].pulled, "no next_request preceded this response");
-    assert_eq!(cs[0].service, std::time::Duration::ZERO);
+    assert_eq!(cs[0].service, Duration::ZERO);
     // Stats are computed over measured (pulled) completions only; a set
     // with none is rejected rather than reporting garbage.
     assert!(std::panic::catch_unwind(|| latency_stats(&cs)).is_err());
@@ -252,7 +259,7 @@ fn one_process_walks_the_history_forward_and_back_repeatedly() {
     // (`cache`, ...) name-bound, so the second forward walk was refused at
     // v2 -> v3 with "global `cache` already exists".
     let (fs, mut wl) = small_fixture();
-    let mut s = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
     let stream = patch_stream().unwrap();
     let typed = |s: &Server| {
         let last = s.completions().last().expect("served").response.clone();
@@ -285,4 +292,20 @@ fn one_process_walks_the_history_forward_and_back_repeatedly() {
         s.updater.failures()
     );
     assert_eq!(s.updater.log().len(), 3 * (4 + 4));
+}
+
+/// Requests are stamped when pushed, whatever front door they came
+/// through: a standalone server measures inbox wait just as a routed
+/// fleet worker does.
+#[test]
+fn standalone_server_stamps_queue_wait_from_the_push() {
+    let (fs, mut wl) = small_fixture();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
+    s.push_requests(wl.batch(10));
+    let held = Duration::from_millis(2);
+    std::thread::sleep(held);
+    assert_eq!(s.serve().unwrap(), 10);
+    for c in s.completions() {
+        assert!(c.queue_wait >= held, "{:?}", c.queue_wait);
+    }
 }

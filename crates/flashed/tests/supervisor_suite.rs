@@ -10,7 +10,7 @@ use dsu_obs::Journal;
 use flashed::{
     patch_stream, versions, BreachAction, CrashPoint, EdgeConfig, ErrorRateWindow, FaultPlan,
     Fleet, FleetConfig, FleetError, Orchestrator, PauseSlo, RolloutOutcome, RolloutPlan,
-    RolloutPolicy, RoutePolicy, SimFs, SupervisorConfig, WorkerFailure, Workload,
+    RoutePolicy, SimFs, SupervisorConfig, WorkerFailure, Workload,
 };
 
 fn fixture() -> (SimFs, Workload) {
@@ -126,7 +126,7 @@ fn mid_transform_crash_recovers_from_the_persisted_ring_and_redrives() {
     // worker persists a one-hop chain plus its snapshot ring.
     fleet.push_requests(wl.batch(60));
     fleet
-        .rollout(&stream[0].patch, RolloutPolicy::Rolling)
+        .rollout_plan(&stream[0].patch, &RolloutPlan::rolling())
         .unwrap();
 
     // Kill worker 1 at the worst spot of the next hop: inside the
@@ -140,8 +140,9 @@ fn mid_transform_crash_recovers_from_the_persisted_ring_and_redrives() {
     );
     fleet.push_requests(wl.batch(60));
     let report = fleet
-        .rollout(&stream[1].patch, RolloutPolicy::Rolling)
-        .unwrap();
+        .rollout_plan(&stream[1].patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
 
     // The rollout healed itself: the supervisor replayed the persisted
     // chain back to the pre-crash version, the driver re-drove the patch

@@ -8,10 +8,9 @@ use dsu_obs::journal::validate_lifecycle;
 use flashed::telemetry::names;
 use flashed::{
     patch_stream, versions, CrashPoint, EdgeConfig, FaultPlan, Fleet, FleetConfig, FleetError,
-    RolloutPolicy, RoutePolicy, Server, ServerShared, ServerTelemetry, SimFs, WorkerFailure,
+    RolloutPlan, RoutePolicy, Server, ServerConfig, ServerTelemetry, SimFs, WorkerFailure,
     Workload,
 };
-use vm::LinkMode;
 
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 11);
@@ -23,13 +22,11 @@ fn fixture() -> (SimFs, Workload) {
 fn server_records_request_metrics_and_lifecycle() {
     let (fs, mut wl) = fixture();
     let tel = ServerTelemetry::new();
-    let mut s = Server::start_with(
-        LinkMode::Updateable,
+    let mut s = Server::start(
+        &ServerConfig::new().telemetry(tel.clone()),
         &versions::v1(),
         "v1",
         fs,
-        ServerShared::new(),
-        Some(tel.clone()),
     )
     .unwrap();
 
@@ -71,14 +68,22 @@ fn server_records_request_metrics_and_lifecycle() {
 #[test]
 fn fleet_scrape_merges_workers_and_tracks_skew() {
     let (fs, mut wl) = fixture();
-    let fleet =
-        Fleet::start_telemetry(2, LinkMode::Updateable, &versions::v3(), "v3", &fs).unwrap();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(2).with_telemetry(),
+        &versions::v3(),
+        "v3",
+        &fs,
+    )
+    .unwrap();
     let tel = fleet.telemetry().unwrap();
     assert_eq!(tel.version_skew(), 0, "uniform fleet at boot");
 
     fleet.push_requests(wl.batch(200));
     let gen = &patch_stream().unwrap()[2]; // v3 -> v4
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     fleet.drain(200).unwrap();
     assert!(report.complete());
     assert_eq!(tel.version_skew(), 0, "skew settles once all workers apply");
@@ -131,8 +136,13 @@ fn fleet_scrape_merges_workers_and_tracks_skew() {
 #[test]
 fn failed_worker_keeps_context_in_report_and_journal() {
     let (fs, mut wl) = fixture();
-    let fleet =
-        Fleet::start_telemetry(2, LinkMode::Updateable, &versions::v1(), "v1", &fs).unwrap();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(2).with_telemetry(),
+        &versions::v1(),
+        "v1",
+        &fs,
+    )
+    .unwrap();
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     // Canary on worker 0 so the fleet-wide rollout fails there.
@@ -145,7 +155,10 @@ fn failed_worker_keeps_context_in_report_and_journal() {
     }
 
     fleet.push_requests(wl.batch(100));
-    let report = fleet.rollout(&gen.patch, RolloutPolicy::Rolling).unwrap();
+    let report = fleet
+        .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
     assert_eq!(report.failed.len(), 1);
     let (worker, failure) = &report.failed[0];
     assert_eq!(*worker, 0);
@@ -260,7 +273,7 @@ fn supervision_metrics_cover_restart_and_failover() {
 fn fleet_errors_are_typed_and_displayed() {
     // Boot failure: garbage source cannot compile.
     let fs = SimFs::generate_fixed(4, 64, 1);
-    let err = Fleet::start(2, LinkMode::Updateable, "not popcorn", "v1", &fs).unwrap_err();
+    let err = Fleet::start_cfg(&FleetConfig::new(2), "not popcorn", "v1", &fs).unwrap_err();
     match &err {
         FleetError::Worker {
             worker,
@@ -273,28 +286,17 @@ fn fleet_errors_are_typed_and_displayed() {
     }
     assert!(err.to_string().starts_with("worker 0:"), "{err}");
 
-    // The other variants render their context. A sharded-queue stall
-    // attributes its backlog per worker; a shared-queue stall reports
-    // ingress alone.
+    // The other variants render their context. A stall attributes its
+    // backlog per inbox: one entry per worker behind an edge, a single
+    // entry for the shared inbox without one.
     let e = FleetError::QueueStall {
-        ingress: 3,
         per_worker: vec![0, 4, 1],
         completed: 7,
         expected: 10,
     };
     assert_eq!(
         e.to_string(),
-        "fleet did not drain: 3 ingress + [0, 4, 1] per-worker queued, 7/10 completed"
-    );
-    let e = FleetError::QueueStall {
-        ingress: 3,
-        per_worker: Vec::new(),
-        completed: 7,
-        expected: 10,
-    };
-    assert_eq!(
-        e.to_string(),
-        "fleet did not drain: 3 ingress, 7/10 completed"
+        "fleet did not drain: [0, 4, 1] queued, 7/10 completed"
     );
     let e = FleetError::RolloutStalled { worker: 2 };
     assert_eq!(e.to_string(), "worker 2 did not reach an update boundary");

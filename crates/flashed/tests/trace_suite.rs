@@ -10,8 +10,8 @@ use dsu_obs::journal::validate_lifecycle;
 use dsu_obs::{stall_report, to_chrome_trace, validate_spans, SpanKind};
 use flashed::fault::FaultPlan;
 use flashed::{
-    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, PauseSlo, RolloutPolicy,
-    ServeMode, SimFs, WorkerOverride, Workload,
+    versions, BreachAction, EventLoopConfig, Fleet, FleetConfig, PauseSlo, RolloutPlan, ServeMode,
+    SimFs, WorkerOverride, Workload,
 };
 
 fn fixture() -> (SimFs, Workload) {
@@ -45,14 +45,10 @@ fn guarded_rollout_spans_nest_and_reconcile() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     fleet.push_requests(wl.batch(300));
 
-    let (report, card) = fleet
-        .rollout_guarded(
-            &forward_patch(),
-            0,
-            PauseSlo::p99(Duration::from_millis(500)),
-            BreachAction::Hold,
-        )
-        .unwrap();
+    let slo = PauseSlo::p99(Duration::from_millis(500));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::Hold);
+    let run = fleet.rollout_plan(&forward_patch(), &plan).unwrap();
+    let (report, card) = (run.fleet_report, run.card);
     assert_eq!(report.applied.len(), 2);
     assert!(card.converged(), "{:?}", card.final_versions);
     fleet.drain(300).unwrap();
@@ -168,7 +164,7 @@ fn sampling_zero_keeps_update_spans_only() {
 
     fleet.push_requests(wl.batch(120));
     fleet
-        .rollout(&forward_patch(), RolloutPolicy::Rolling)
+        .rollout_plan(&forward_patch(), &RolloutPlan::rolling())
         .unwrap();
     fleet.drain(120).unwrap();
     fleet.shutdown().unwrap();
@@ -208,16 +204,10 @@ fn rollback_spans_nest_under_the_rollout_root() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     fleet.push_requests(wl.batch(150));
 
-    let (_, card) = fleet
-        .rollout_guarded(
-            &forward_patch(),
-            0,
-            PauseSlo::p99(Duration::from_millis(2)),
-            BreachAction::RollBack {
-                inverse: Some(Box::new(inverse_patch())),
-            },
-        )
-        .unwrap();
+    let slo = PauseSlo::p99(Duration::from_millis(2));
+    let inverse = Some(Box::new(inverse_patch()));
+    let plan = RolloutPlan::guarded(0, slo, BreachAction::RollBack { inverse });
+    let card = fleet.rollout_plan(&forward_patch(), &plan).unwrap().card;
     assert_eq!(card.rollbacks.len(), 1);
     fleet.drain(150).unwrap();
 

@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use tal::{FnSig, GlobalDef, Instr, Module, SymbolKind, Ty, TypeDef, TypeProvider};
 
@@ -94,6 +94,10 @@ pub struct LinkOverrides {
 /// process per worker.
 pub type HostFn = Box<dyn FnMut(&[Value]) -> Result<Value, Trap> + Send>;
 
+/// A host callback run whenever an [`UpdateSignal`] is armed (see
+/// [`Process::set_update_wake`]).
+pub type WakeFn = Box<dyn Fn() + Send>;
+
 pub(crate) struct HostEntry {
     pub name: String,
     pub sig: FnSig,
@@ -157,7 +161,7 @@ pub struct Process {
     global_by_name: HashMap<String, GlobalId>,
     pub(crate) hosts: Vec<HostEntry>,
     host_by_name: HashMap<String, HostId>,
-    update_requested: Arc<AtomicBool>,
+    update_signal: UpdateSignal,
     suspended: Option<ExecState>,
     /// Monotonically increasing generation bumped by every bind, unbind
     /// and rollback; inline caches validate against it, so one bump
@@ -197,7 +201,10 @@ impl Process {
             global_by_name: HashMap::new(),
             hosts: Vec::new(),
             host_by_name: HashMap::new(),
-            update_requested: Arc::new(AtomicBool::new(false)),
+            update_signal: UpdateSignal {
+                requested: Arc::new(AtomicBool::new(false)),
+                wake: Arc::default(),
+            },
             suspended: None,
             bind_generation: 1,
             icache: true,
@@ -1158,12 +1165,14 @@ impl Process {
 
     /// Requests that the next executed update point suspend the run.
     pub fn request_update(&mut self, requested: bool) {
-        self.update_requested.store(requested, Ordering::SeqCst);
+        self.update_signal
+            .requested
+            .store(requested, Ordering::SeqCst);
     }
 
     /// Whether an update request is pending.
     pub fn update_requested(&self) -> bool {
-        self.update_requested.load(Ordering::SeqCst)
+        self.update_signal.requested.load(Ordering::SeqCst)
     }
 
     /// A clonable handle onto this process's update-request flag. Another
@@ -1171,24 +1180,46 @@ impl Process {
     /// this is how a fleet coordinator interrupts a worker mid-serve
     /// without sharing the (thread-local) process itself.
     pub fn update_signal(&self) -> UpdateSignal {
-        UpdateSignal(Arc::clone(&self.update_requested))
+        self.update_signal.clone()
+    }
+
+    /// Installs the callback every [`UpdateSignal::arm`] on this process
+    /// runs after setting the flag (signals handed out earlier see it
+    /// too). A guest that is not running passes no update point, so a
+    /// host that blocks while idle uses this to be woken and apply the
+    /// queued patch at its quiescent boundary.
+    pub fn set_update_wake(&self, wake: WakeFn) {
+        *self.update_signal.wake.lock().expect("poisoned") = Some(wake);
     }
 }
 
 /// A cross-thread handle onto a process's update-request flag (see
 /// [`Process::update_signal`]).
-#[derive(Clone, Debug)]
-pub struct UpdateSignal(Arc<AtomicBool>);
+#[derive(Clone)]
+pub struct UpdateSignal {
+    requested: Arc<AtomicBool>,
+    wake: Arc<Mutex<Option<WakeFn>>>,
+}
+
+impl std::fmt::Debug for UpdateSignal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("UpdateSignal").field(&self.armed()).finish()
+    }
+}
 
 impl UpdateSignal {
-    /// Arms the flag: the guest suspends at its next executed update point.
+    /// Arms the flag: the guest suspends at its next executed update
+    /// point. Then runs the host's wake callback, if one is installed.
     pub fn arm(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.requested.store(true, Ordering::SeqCst);
+        if let Some(wake) = &*self.wake.lock().expect("poisoned") {
+            wake();
+        }
     }
 
     /// Whether the flag is currently armed.
     pub fn armed(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.requested.load(Ordering::SeqCst)
     }
 }
 

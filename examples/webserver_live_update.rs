@@ -3,15 +3,14 @@
 //!
 //! Run with: `cargo run --release --example webserver_live_update`
 
-use dsu::flashed::{parse_response, patch_stream, versions, Server, SimFs, Workload};
-use vm::LinkMode;
+use dsu::flashed::{parse_response, patch_stream, versions, Server, ServerConfig, SimFs, Workload};
 
 const BATCH: usize = 400;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fs = SimFs::generate(64, (256, 4096), 42);
     let mut wl = Workload::new(fs.paths(), 1.0, 7).with_miss_rate(0.02);
-    let mut server = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs)?;
+    let mut server = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs)?;
 
     println!("serving {BATCH} requests per version; patches apply mid-batch\n");
 

@@ -2,7 +2,7 @@
 //! popcorn → tal → verifier → vm → dsu-core → flashed.
 
 use dsu::prelude::*;
-use flashed::{parse_response, patch_stream, versions, Server, SimFs, Workload};
+use flashed::{parse_response, patch_stream, versions, Server, ServerConfig, SimFs, Workload};
 
 fn boot(src: &str) -> Process {
     let m = popcorn::compile(src, "app", "v1", &popcorn::Interface::new()).expect("compiles");
@@ -176,7 +176,7 @@ fn non_strict_updater_continues_on_old_version() {
 fn flashed_stream_then_rollback_to_every_version() {
     let fs = SimFs::generate_fixed(8, 256, 1);
     let mut wl = Workload::new(fs.paths(), 1.0, 2);
-    let mut server = Server::start(LinkMode::Updateable, &versions::v1(), "v1", fs).unwrap();
+    let mut server = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
     let mut history = VersionManager::new();
 
     for gen in patch_stream().unwrap() {
@@ -318,7 +318,7 @@ fn tal_text_round_trips_every_real_module() {
 fn patch_files_round_trip_and_apply() {
     let fs = SimFs::generate_fixed(8, 256, 1);
     let mut wl = Workload::new(fs.paths(), 1.0, 2);
-    let mut server = Server::start(LinkMode::Updateable, &versions::v3(), "v3", fs).unwrap();
+    let mut server = Server::start(&ServerConfig::new(), &versions::v3(), "v3", fs).unwrap();
     server.push_requests(wl.batch(40));
     server.serve().unwrap();
 

@@ -794,7 +794,7 @@ fn faulted_walks_converge_under_supervision() {
     use dsu_obs::journal::validate_lifecycle;
     use dsu_obs::Journal;
     use flashed::{
-        patch_stream, versions, CrashPoint, FaultPlan, Fleet, FleetConfig, RolloutPolicy, SimFs,
+        patch_stream, versions, CrashPoint, FaultPlan, Fleet, FleetConfig, RolloutPlan, SimFs,
         SupervisorConfig, Workload,
     };
     use std::time::{Duration, Instant};
@@ -847,7 +847,7 @@ fn faulted_walks_converge_under_supervision() {
             fleet.push_requests(wl.batch(30));
             pushed += 30;
             fleet
-                .rollout(&entry.patch, RolloutPolicy::Rolling)
+                .rollout_plan(&entry.patch, &RolloutPlan::rolling())
                 .unwrap();
             if let Some(victim) = reader {
                 fleet.set_worker_read_failures(victim, false);

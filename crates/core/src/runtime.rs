@@ -10,12 +10,15 @@
 //! The patch queue, apply log and failure log live behind shared handles:
 //! an [`UpdaterRemote`] lets *another thread* (a fleet coordinator) feed
 //! patches to a process it does not own, arm the process's update signal,
-//! and observe the resulting reports — the substrate of coordinated
-//! multi-worker rollouts.
+//! and block in [`UpdaterRemote::wait_until`] until the outcome it is
+//! waiting for exists — the substrate of coordinated multi-worker
+//! rollouts. Outcomes are published, then waiters woken: when a waiter
+//! runs, the report or failure, the dropped in-flight count and the
+//! pause event of the apply that woke it are all already visible.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dsu_obs::trace::{Span, SpanKind};
@@ -55,6 +58,63 @@ pub type Gate = Box<dyn FnOnce() + Send>;
 /// charges the wait to the pause's first applied patch as
 /// [`crate::PhaseTimings::drain`].
 pub type DrainHook = Box<dyn FnMut() + Send>;
+
+/// What the outcome signal's lock guards.
+#[derive(Default)]
+struct Outcomes {
+    /// Publishes so far. A count, not a flag: a waiter compares it with
+    /// the reading it took *before* evaluating its predicate, so a publish
+    /// that lands between the two is never lost.
+    events: u64,
+    /// Waiters currently parked. A publish signals the condvar only when
+    /// this is non-zero, so an apply nobody waits for (a bare guest, a
+    /// boot-time replay) pays no wake-up system call.
+    waiting: usize,
+}
+
+/// The one wake an [`Updater`] and its [`UpdaterRemote`]s share: bumped
+/// after an update pause's outcomes are all visible, by a withdrawal, and
+/// by [`UpdaterRemote::wake`].
+#[derive(Default)]
+struct OutcomeSignal {
+    state: Mutex<Outcomes>,
+    moved: Condvar,
+}
+
+impl OutcomeSignal {
+    /// Bumps the event count and wakes every parked waiter. Callers make
+    /// whatever a waiter's predicate reads visible *first*.
+    fn publish(&self) {
+        let wake = {
+            let mut s = self.state.lock().expect("poisoned");
+            s.events += 1;
+            s.waiting > 0
+        };
+        if wake {
+            self.moved.notify_all();
+        }
+    }
+
+    fn events(&self) -> u64 {
+        self.state.lock().expect("poisoned").events
+    }
+
+    /// Parks until the event count moves past `seen`; `false` when
+    /// `deadline` passed first.
+    fn park(&self, seen: u64, deadline: Instant) -> bool {
+        let mut s = self.state.lock().expect("poisoned");
+        while s.events == seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            s.waiting += 1;
+            s = self.moved.wait_timeout(s, left).expect("poisoned").0;
+            s.waiting -= 1;
+        }
+        true
+    }
+}
 
 /// Where an updater's lifecycle events go: a shared journal plus the
 /// worker tag stamped onto every event this updater emits, and — when
@@ -154,10 +214,12 @@ pub struct Updater {
     pending: Arc<Mutex<VecDeque<QueuedOp>>>,
     /// Ops popped off `pending` whose outcome (report or failure) is not
     /// published yet — i.e. mid-apply. Shared with remotes and counted
-    /// into [`Updater::pending_count`], so a coordinator polling
+    /// into [`Updater::pending_count`], so a coordinator waiting for
     /// "pending == 0 and the counts moved" can never observe the window
     /// where an op is out of the queue but its result is invisible.
     in_flight: Arc<AtomicUsize>,
+    /// Wakes coordinators blocked in [`UpdaterRemote::wait_until`].
+    outcomes: Arc<OutcomeSignal>,
     log: Arc<Mutex<Vec<UpdateReport>>>,
     /// Failures of patches that did not apply (the run continues), with
     /// version-transition and failing-phase context attached.
@@ -494,6 +556,16 @@ impl Updater {
         self.log.lock().expect("poisoned").clone()
     }
 
+    /// Successful applies so far.
+    pub fn applied_count(&self) -> usize {
+        self.log.lock().expect("poisoned").len()
+    }
+
+    /// Failed applies so far (non-strict mode).
+    pub fn failure_count(&self) -> usize {
+        self.failures.lock().expect("poisoned").len()
+    }
+
     /// Failures of patches that did not apply (non-strict mode), with
     /// version and failing-phase context.
     pub fn failures(&self) -> Vec<FailedUpdate> {
@@ -517,6 +589,7 @@ impl Updater {
         UpdaterRemote {
             pending: Arc::clone(&self.pending),
             in_flight: Arc::clone(&self.in_flight),
+            outcomes: Arc::clone(&self.outcomes),
             log: Arc::clone(&self.log),
             failures: Arc::clone(&self.failures),
             pauses: Arc::clone(&self.pauses),
@@ -619,6 +692,10 @@ impl Updater {
             at: began,
             dur: began.elapsed(),
         });
+        // Publish last: every report and failure is in its log, the
+        // in-flight count has dropped and the pause event is recorded, so
+        // a woken waiter finds all of it.
+        self.outcomes.publish();
         result
     }
 
@@ -1149,6 +1226,7 @@ fn emit_aborted(t: &Trace, queued: &QueuedOp, error: &UpdateError) {
 pub struct UpdaterRemote {
     pending: Arc<Mutex<VecDeque<QueuedOp>>>,
     in_flight: Arc<AtomicUsize>,
+    outcomes: Arc<OutcomeSignal>,
     log: Arc<Mutex<Vec<UpdateReport>>>,
     failures: Arc<Mutex<Vec<FailedUpdate>>>,
     pauses: PauseLog,
@@ -1227,9 +1305,48 @@ impl UpdaterRemote {
     /// Returns how many were cancelled. The worker's next pause then
     /// finds an empty queue and resumes untouched — this is how a
     /// coordinator holds a rollout or defuses a stalled worker without
-    /// letting the withdrawn patch land later.
+    /// letting the withdrawn patch land later. Wakes
+    /// [`UpdaterRemote::wait_until`] waiters: a waiter counting on those
+    /// operations must see that they will never resolve.
     pub fn cancel_pending(&self, reason: &str) -> usize {
-        cancel_traced(&self.pending, &self.trace, reason)
+        let n = cancel_traced(&self.pending, &self.trace, reason);
+        self.outcomes.publish();
+        n
+    }
+
+    /// Blocks until `ready` yields a value or `deadline` passes (`None`).
+    /// `ready` is evaluated at once — an outcome published before the call
+    /// returns immediately — and again after every update pause on the
+    /// worker, every [`UpdaterRemote::cancel_pending`] and every
+    /// [`UpdaterRemote::wake`], through any clone of this handle. A pause
+    /// publishes last, so `ready` sees its reports, failures, pending
+    /// count and pause event together. There is no timer in between: a
+    /// change to anything else `ready` reads must be followed by
+    /// [`UpdaterRemote::wake`].
+    pub fn wait_until<T>(
+        &self,
+        deadline: Instant,
+        mut ready: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        loop {
+            // Count before predicate: a publish between the two makes the
+            // park below return at once.
+            let seen = self.outcomes.events();
+            if let Some(v) = ready() {
+                return Some(v);
+            }
+            if !self.outcomes.park(seen, deadline) {
+                return None;
+            }
+        }
+    }
+
+    /// Makes every [`UpdaterRemote::wait_until`] waiter re-evaluate: for a
+    /// party that changed something a predicate reads outside the updater
+    /// (a supervisor declaring the worker restarted or down). Change
+    /// first, then wake.
+    pub fn wake(&self) {
+        self.outcomes.publish();
     }
 
     /// The `(from, to)` transitions whose pre-update snapshots the
@@ -1265,7 +1382,7 @@ impl UpdaterRemote {
     /// currently mid-apply, if any. Zero means every submitted op's
     /// outcome is visible through [`UpdaterRemote::reports`] /
     /// [`UpdaterRemote::failures`] — the invariant coordinators lean on
-    /// when they poll "counts moved and nothing pending".
+    /// when they wait for "counts moved and nothing pending".
     pub fn pending_count(&self) -> usize {
         self.pending.lock().expect("poisoned").len() + self.in_flight.load(Ordering::SeqCst)
     }
@@ -1280,19 +1397,52 @@ impl UpdaterRemote {
         self.failures.lock().expect("poisoned").len()
     }
 
+    /// Update pauses recorded so far.
+    pub fn pause_count(&self) -> usize {
+        self.pauses.lock().expect("poisoned").len()
+    }
+
     /// Reports of every successful apply, oldest first.
     pub fn reports(&self) -> Vec<UpdateReport> {
-        self.log.lock().expect("poisoned").clone()
+        self.reports_from(0)
+    }
+
+    /// Reports of the successful applies after the first `base`, oldest
+    /// first (empty when fewer than `base` exist — a restarted worker's
+    /// history can be shorter than a count taken before its crash).
+    pub fn reports_from(&self, base: usize) -> Vec<UpdateReport> {
+        tail(&self.log, base)
+    }
+
+    /// The most recent successful apply's report.
+    pub fn last_report(&self) -> Option<UpdateReport> {
+        self.log.lock().expect("poisoned").last().cloned()
     }
 
     /// Failures of every failed apply, oldest first, with version and
     /// failing-phase context.
     pub fn failures(&self) -> Vec<FailedUpdate> {
-        self.failures.lock().expect("poisoned").clone()
+        self.failures_from(0)
+    }
+
+    /// Failures after the first `base`, oldest first.
+    pub fn failures_from(&self, base: usize) -> Vec<FailedUpdate> {
+        tail(&self.failures, base)
     }
 
     /// Update pauses recorded so far, oldest first.
     pub fn pauses(&self) -> Vec<PauseEvent> {
-        self.pauses.lock().expect("poisoned").clone()
+        self.pauses_from(0)
     }
+
+    /// Update pauses after the first `base`, oldest first.
+    pub fn pauses_from(&self, base: usize) -> Vec<PauseEvent> {
+        tail(&self.pauses, base)
+    }
+}
+
+/// Clones a shared log's entries after the first `base`.
+fn tail<T: Clone>(log: &Mutex<Vec<T>>, base: usize) -> Vec<T> {
+    let log = log.lock().expect("poisoned");
+    log.get(base..).map(<[T]>::to_vec).unwrap_or_default()
 }

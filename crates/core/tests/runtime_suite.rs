@@ -254,3 +254,50 @@ fn updater_state_survives_a_save_load_round_trip() {
         .load_state(&mut p, "dsu-updater-state 1\nring 5\nxx")
         .is_err());
 }
+
+/// A pause publishes as its last act: a coordinator woken by it finds the
+/// report, the failure, the drained queue and the pause event together —
+/// never an apply without its pause. The pause starts only after the
+/// waiter's first (empty-handed) evaluation, so every later evaluation
+/// was triggered by a publish.
+#[test]
+fn a_pause_wakes_its_waiter_with_the_whole_outcome_visible() {
+    use std::time::{Duration, Instant};
+
+    let mut p = boot(SPIN);
+    let mut up = Updater::new();
+    up.strict = false;
+    let bad = bad_patch(&p);
+    let good = PatchGen::new()
+        .generate(SPIN, &SPIN.replace("n = n + 1", "n = n + 2"), "v1", "v2")
+        .unwrap()
+        .patch;
+    let remote = up.remote(&p);
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+
+    std::thread::scope(|s| {
+        let coordinator = remote.clone();
+        let waiter = s.spawn(move || {
+            let mut first = true;
+            coordinator.wait_until(Instant::now() + Duration::from_secs(30), || {
+                if std::mem::take(&mut first) {
+                    parked_tx.send(()).unwrap();
+                }
+                let resolved = coordinator.applied_count() + coordinator.failure_count();
+                (resolved > 0).then(|| {
+                    (
+                        coordinator.applied_count(),
+                        coordinator.failure_count(),
+                        coordinator.pending_count(),
+                        coordinator.pause_count(),
+                    )
+                })
+            })
+        });
+        parked_rx.recv().unwrap();
+        remote.enqueue(bad);
+        remote.enqueue(good);
+        up.run(&mut p, "spin", vec![Value::Int(2)]).unwrap();
+        assert_eq!(waiter.join().unwrap(), Some((1, 1, 0, 1)));
+    });
+}

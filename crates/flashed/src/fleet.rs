@@ -23,6 +23,14 @@
 //!   worker back, and the whole run leaves a
 //!   [`crate::guard::RolloutReportCard`] behind.
 //!
+//! The coordinator blocks on the worker, not on a timer: every await is
+//! one [`dsu_core::UpdaterRemote::wait_until`] on the handle the patch
+//! was enqueued on, woken by the worker's end-of-pause publish, by a
+//! withdrawal, or by the supervisor — which publishes, then wakes: the
+//! restart epoch is bumped after the fresh seat, the edge's `mark_up` and
+//! the [`RestartReport`] are all in place, and only then are parked
+//! coordinators woken.
+//!
 //! Workers run their updaters non-strict: a worker whose apply is rejected
 //! keeps serving its old version and the failure lands in the rollout's
 //! [`FleetUpdateReport`] — the rest of the fleet still rolls forward.
@@ -820,10 +828,8 @@ impl Fleet {
     /// update's target version, or the boot version.
     pub(crate) fn worker_version(&self, w: &Worker) -> String {
         w.remote()
-            .reports()
-            .last()
-            .map(|r| r.to_version.clone())
-            .unwrap_or_else(|| self.boot_version.clone())
+            .last_report()
+            .map_or_else(|| self.boot_version.clone(), |r| r.to_version)
     }
 
     /// The version each worker currently serves, in worker order.
@@ -1026,19 +1032,12 @@ impl Fleet {
         });
     }
 
-    /// Per-worker `(applied, failed, pauses)` counts before a rollout.
+    /// Per-worker [`baseline`]s before a rollout.
     pub(crate) fn baselines(&self) -> Vec<(usize, usize, usize)> {
         self.state
             .workers
             .iter()
-            .map(|w| {
-                let remote = w.remote();
-                (
-                    remote.applied_count(),
-                    remote.failure_count(),
-                    remote.pauses().len(),
-                )
-            })
+            .map(|w| baseline(&w.remote()))
             .collect()
     }
 
@@ -1050,17 +1049,17 @@ impl Fleet {
             ..FleetUpdateReport::default()
         };
         for (w, (applied0, failed0, pauses0)) in self.state.workers.iter().zip(baselines) {
-            // `skip` instead of range-drain: a supervised restart resets
-            // the worker's history to its replay hops, which can be
-            // shorter than a baseline captured pre-crash.
+            // A supervised restart resets the worker's history to its
+            // replay hops, which can be shorter than a baseline captured
+            // pre-crash: the tails are then empty.
             let remote = w.remote();
-            for r in remote.reports().into_iter().skip(*applied0) {
+            for r in remote.reports_from(*applied0) {
                 report.applied.push((w.id, r));
             }
-            for e in remote.failures().into_iter().skip(*failed0) {
+            for e in remote.failures_from(*failed0) {
                 report.failed.push((w.id, e));
             }
-            let pause: Duration = remote.pauses().iter().skip(*pauses0).map(|p| p.dur).sum();
+            let pause: Duration = remote.pauses_from(*pauses0).iter().map(|p| p.dur).sum();
             report.pauses.push(pause);
         }
         report
@@ -1076,47 +1075,55 @@ impl Fleet {
         }
     }
 
-    /// Waits until `worker` has resolved one more patch than its baseline.
-    /// `epoch0` is the worker's restart epoch at enqueue time: a bump
-    /// mid-wait means a supervisor rebooted the worker (the in-flight
-    /// patch was withdrawn) and surfaces as
-    /// [`FleetError::WorkerRestarted`] for the caller to re-drive.
+    /// Waits until `worker` has resolved one more patch than its baseline
+    /// (see [`Fleet::await_worker_n`]).
     pub(crate) fn await_worker(
         &self,
         worker: &Worker,
+        remote: &UpdaterRemote,
         base: (usize, usize, usize),
         epoch0: u64,
     ) -> Result<(), FleetError> {
-        self.await_worker_n(worker, base, 1, epoch0)
+        self.await_worker_n(worker, remote, base, 1, epoch0)
     }
 
-    /// Waits until `worker` has resolved `n` more patches than its
-    /// baseline (a rollback *chain* resolves several in one pause).
+    /// Blocks on `remote` — the handle the patches were enqueued on —
+    /// until `worker` has resolved `n` more of them than its baseline (a
+    /// rollback *chain* resolves several in one pause), nothing is
+    /// pending and the pause that applied them is recorded. The worker's
+    /// publish at the end of its pause is the wake; there is no timer.
+    ///
+    /// `epoch0` is the worker's restart epoch at enqueue time: a bump
+    /// mid-wait means a supervisor rebooted the worker (the in-flight
+    /// patch was withdrawn) and surfaces as
+    /// [`FleetError::WorkerRestarted`] for the caller to re-drive. The
+    /// supervisor wakes the incarnation it reaped, which is the one a
+    /// patch enqueued before the crash sits on — so the wait parks on the
+    /// enqueue handle and never on a re-fetched seat.
     pub(crate) fn await_worker_n(
         &self,
         worker: &Worker,
-        (applied0, failed0, _): (usize, usize, usize),
+        remote: &UpdaterRemote,
+        (applied0, failed0, pauses0): (usize, usize, usize),
         n: usize,
         epoch0: u64,
     ) -> Result<(), FleetError> {
         let deadline = Instant::now() + self.rollout_deadline;
-        loop {
-            if worker.has_failed() {
-                return Err(FleetError::WorkerDown { worker: worker.id });
-            }
-            if worker.epoch() != epoch0 {
-                return Err(FleetError::WorkerRestarted { worker: worker.id });
-            }
-            let remote = worker.remote();
-            let resolved = remote.applied_count() + remote.failure_count();
-            if resolved >= applied0 + failed0 + n && remote.pending_count() == 0 {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(FleetError::RolloutStalled { worker: worker.id });
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
+        remote
+            .wait_until(deadline, || {
+                if worker.has_failed() {
+                    return Some(Err(FleetError::WorkerDown { worker: worker.id }));
+                }
+                if worker.epoch() != epoch0 {
+                    return Some(Err(FleetError::WorkerRestarted { worker: worker.id }));
+                }
+                let resolved = remote.applied_count() + remote.failure_count();
+                (resolved >= applied0 + failed0 + n
+                    && remote.pending_count() == 0
+                    && remote.pause_count() > pauses0)
+                    .then_some(Ok(()))
+            })
+            .unwrap_or(Err(FleetError::RolloutStalled { worker: worker.id }))
     }
 
     /// Stops every worker and returns the per-worker served-request counts
@@ -1173,6 +1180,17 @@ impl Fleet {
             Some(e) => Err(e),
         }
     }
+}
+
+/// The `(applied, failed, pauses)` counts of the incarnation behind
+/// `remote`, taken before enqueueing on it: what
+/// [`Fleet::await_worker_n`] measures progress against.
+pub(crate) fn baseline(remote: &UpdaterRemote) -> (usize, usize, usize) {
+    (
+        remote.applied_count(),
+        remote.failure_count(),
+        remote.pause_count(),
+    )
 }
 
 /// Everything one worker thread needs, bundled (the spawn site builds it
@@ -1307,6 +1325,7 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                 // down, the edge keeps routing around it, shutdown
                 // reports `GaveUp`.
                 w.failed.store(true, Ordering::SeqCst);
+                old_links.remote.wake();
                 continue;
             }
             let detect = detect_began.elapsed();
@@ -1332,12 +1351,10 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                     let spawn_dur = spawn_began.elapsed();
                     let replay = seat.links.replayed;
                     let replayed_to = seat.links.replayed_to.clone();
+                    let fresh = seat.links.remote.clone();
                     *w.seat.lock().expect("poisoned") = seat;
                     w.restarts.fetch_add(1, Ordering::SeqCst);
                     w.up.store(true, Ordering::SeqCst);
-                    // Epoch bump last: an await that sees the new epoch
-                    // must also see the new seat.
-                    w.epoch.fetch_add(1, Ordering::SeqCst);
                     if let Some(t) = &state.spec.telemetry {
                         t.set_worker_up(w.id, true);
                         t.record_worker_restart();
@@ -1367,6 +1384,15 @@ fn supervisor_main(state: &FleetState, cfg: SupervisorConfig, stop: &AtomicBool)
                             rerouted,
                             total: detect_began.elapsed(),
                         });
+                    // Epoch bump last, then the wake: an await that sees
+                    // the new epoch must also see the new seat, the edge
+                    // routing to it again and the restart report. Both
+                    // incarnations are woken — a coordinator that fetched
+                    // its handle between the seat swap and this bump is
+                    // parked on the fresh one.
+                    w.epoch.fetch_add(1, Ordering::SeqCst);
+                    old_links.remote.wake();
+                    fresh.wake();
                 }
                 Err(_) => {
                     // Seat stays reaped (`join` is `None`); the next sweep
@@ -1406,7 +1432,10 @@ fn restore_worker(server: &mut Server, blob: &str, boot_version: &str) -> Result
 /// How far a worker's apply history has moved — the trigger for
 /// re-persisting its crash-durable state.
 fn history_mark(server: &Server) -> (usize, usize) {
-    (server.updater.log().len(), server.updater.failures().len())
+    (
+        server.updater.applied_count(),
+        server.updater.failure_count(),
+    )
 }
 
 /// Persists the worker's crash-durable state (net patch chain + snapshot
@@ -1465,7 +1494,7 @@ fn worker_main(
     };
     // "Mid-soak" means an update landed in *this* incarnation — replay
     // hops don't count, or a restart after a crash would re-crash.
-    let soak_base = server.updater.log().len();
+    let soak_base = server.updater.applied_count();
     let info = BootInfo {
         remote: server.remote(),
         fault: Arc::clone(&fault),
@@ -1490,12 +1519,12 @@ fn worker_main(
         ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
         // Quiescent boundary: re-persist crash-durable state whenever the
         // apply history moved since the last persist.
-        let mark = history_mark(&server);
+        let mark @ (applied, _) = history_mark(&server);
         if mark != persisted {
             persist_state(&server, &ctx.state_slot);
             persisted = mark;
         }
-        if server.updater.log().len() > soak_base {
+        if applied > soak_base {
             crash_if_armed(&fault, CrashPoint::MidSoak);
         }
         crash_if_armed(&fault, CrashPoint::Serving);

@@ -15,6 +15,12 @@
 //! * [`RolloutPlan::guarded`] — one cohort per worker, canary first,
 //!   gated.
 //!
+//! Each member is awaited by one park on its enqueue handle (see
+//! [`fleet`](crate::fleet)): a step's health window closes the moment
+//! its pause does, so completion liveness is judged on evidence
+//! (`settle_liveness`), never on how long the coordinator happened to
+//! wait.
+//!
 //! An [`Orchestrator`] drives one plan across *several* shard
 //! [`Fleet`]s at once: cohorts are resolved over the global worker set,
 //! cross-fleet cohort members rendezvous on one shared barrier, and a
@@ -41,7 +47,7 @@ use std::time::{Duration, Instant};
 use dsu_core::{FleetUpdateReport, Patch, UpdateReport};
 use dsu_obs::{Journal, Stage};
 
-use crate::fleet::{Fleet, FleetError};
+use crate::fleet::{baseline, Fleet, FleetError};
 use crate::guard::{
     windowed_quantile, BreachAction, ErrorRateWindow, HealthBreach, HealthGate, PauseSlo,
     RolloutOutcome, RolloutReportCard, StepHealth,
@@ -54,6 +60,29 @@ const MAX_REDRIVES: usize = 2;
 /// How many extra soak windows a marginal step can earn before the
 /// rollout advances anyway.
 const MAX_SOAK_EXTENDS: usize = 3;
+
+/// How often an inconclusive liveness window re-reads the completion log
+/// (see [`settle_liveness`]). The data plane's completion push wakes
+/// nobody, by design, so this one wait is a poll.
+const LIVENESS_POLL: Duration = Duration::from_micros(100);
+
+/// Closes a step's liveness window on evidence. `read` returns the
+/// window's `(new completions, queued backlog)`. A backlog with no
+/// completion is not yet a stall when the window is shorter than one
+/// request's service time — and a step's window is as short as its pause —
+/// so such a window stays open until a completion lands, the backlog
+/// clears, or `budget` has passed; the reading returned is the one the
+/// gate judges.
+fn settle_liveness(budget: Duration, mut read: impl FnMut() -> (usize, usize)) -> (usize, usize) {
+    let deadline = Instant::now() + budget;
+    loop {
+        let (done, queued) = read();
+        if done > 0 || queued == 0 || Instant::now() >= deadline {
+            return (done, queued);
+        }
+        thread::sleep(LIVENESS_POLL);
+    }
+}
 
 /// One stage of a [`RolloutPlan`], as a *cumulative* coverage target
 /// over the global worker set.
@@ -707,11 +736,9 @@ impl Run<'_, '_> {
                     let pauses0 = self.baselines[fi][li].2;
                     orch.fleets[fi].workers()[li]
                         .remote()
-                        .pauses()
+                        .pauses_from(pauses0)
                         .into_iter()
-                        .skip(pauses0)
                         .map(|p| p.dur)
-                        .collect::<Vec<_>>()
                 })
                 .collect();
             let slo = self.plan.gate.unwrap_or(PauseSlo {
@@ -827,7 +854,11 @@ impl Run<'_, '_> {
 
     /// Drives one cohort: barrier gates first (a fast worker must find
     /// its rendezvous installed when it pauses), then every member's
-    /// patch enqueued, then each awaited and judged in cohort order.
+    /// patch enqueued, then each awaited and judged in cohort order. The
+    /// await is one park on the handle the patch was enqueued on, woken
+    /// by the worker's end-of-pause publish (or its supervisor): when it
+    /// returns `Ok` the report, the drained queue and the pause event are
+    /// all visible, so no step is ever judged pauseless.
     ///
     /// A member whose supervisor restarts it mid-wait (the in-flight
     /// patch was withdrawn at death) is *re-driven*: its baseline is
@@ -875,7 +906,7 @@ impl Run<'_, '_> {
             let mut redrives = 0usize;
             let mut down = false;
             let stalled = loop {
-                match fleet.await_worker(w, base, epoch0) {
+                match fleet.await_worker(w, &remotes[mi], base, epoch0) {
                     Ok(()) => break false,
                     Err(FleetError::WorkerRestarted { .. }) if redrives < MAX_REDRIVES => {
                         redrives += 1;
@@ -887,22 +918,21 @@ impl Run<'_, '_> {
                         // it is a no-op (applied) or an explicit
                         // withdrawal ahead of the re-drive below.
                         remotes[mi].cancel_pending("withdrawn after supervised restart");
-                        let remote = w.remote();
-                        base = (
-                            remote.applied_count(),
-                            remote.failure_count(),
-                            remote.pauses().len(),
-                        );
+                        // Epoch before handle, as at the first enqueue: a
+                        // second restart between the two reads as a
+                        // mismatch, not as a handle nobody will wake.
+                        epoch0 = w.epoch();
+                        remotes[mi] = w.remote();
+                        let remote = &remotes[mi];
+                        base = baseline(remote);
                         self.baselines[fi][li] = base;
                         marks[mi] = self.step_marks(gid);
-                        epoch0 = w.epoch();
                         if fleet.worker_version(w) == self.patch.to_version {
                             // The reboot replayed past this transition
                             // already — nothing left to drive.
                             break false;
                         }
                         remote.enqueue(self.patch.clone());
-                        remotes[mi] = remote;
                     }
                     Err(FleetError::WorkerDown { .. }) => {
                         down = true;
@@ -920,38 +950,31 @@ impl Run<'_, '_> {
                 } else {
                     "rolling rollout stalled"
                 });
-            } else {
-                // The apply is visible before its pause event (the worker
-                // pushes the pause after the op drains); wait for the
-                // event so neither the gate nor the fleet report ever
-                // sees a step pauseless.
-                let deadline = Instant::now() + fleet.deadline();
-                while w.remote().pauses().len() <= base.2 && Instant::now() < deadline {
-                    thread::sleep(Duration::from_micros(50));
-                }
             }
-            let pauses: Vec<Duration> = w
-                .remote()
-                .pauses()
-                .iter()
-                .skip(base.2)
-                .map(|p| p.dur)
-                .collect();
+            let remote = &remotes[mi];
+            let pauses: Vec<Duration> = remote.pauses_from(base.2).iter().map(|p| p.dur).collect();
             let slo = self.plan.gate.unwrap_or(PauseSlo {
                 quantile: 1.0,
                 max: Duration::MAX,
             });
-            let health = self.window_health(gid, &marks[mi], slo.observe(&pauses));
+            let mut health = self.window_health(gid, &marks[mi], slo.observe(&pauses));
             let verdict = if stalled {
                 Err(HealthBreach::Stalled { worker: gid })
+            } else if let Some(g) = &self.gate {
+                // The window is now as short as the pause: judge liveness
+                // on evidence, not on its width.
+                let completions0 = marks[mi].completions;
+                (health.new_completions, health.queued) =
+                    settle_liveness(g.slo.max.min(fleet.deadline()), || {
+                        let done = fleet.shared().completions_len();
+                        (done.saturating_sub(completions0), fleet.queued())
+                    });
+                g.check(&health)
             } else {
-                match &self.gate {
-                    Some(g) => g.check(&health),
-                    None => Ok(()),
-                }
+                Ok(())
             };
             self.steps.push(health);
-            for r in w.remote().reports().into_iter().skip(base.0) {
+            for r in remote.reports_from(base.0) {
                 self.forward.push((gid, r));
             }
             fleet.refresh_skew();
@@ -1010,28 +1033,23 @@ impl Run<'_, '_> {
             let (fi, li) = orch.locate(gid);
             let fleet = &orch.fleets[fi];
             let w = &fleet.workers()[li];
-            let remote = w.remote();
-            let base = (
-                remote.applied_count(),
-                remote.failure_count(),
-                remote.pauses().len(),
-            );
+            // Epoch before handle (see `drive_cohort`).
             let epoch0 = w.epoch();
+            let remote = w.remote();
+            let base = baseline(&remote);
             match inverse {
                 Some(p) => remote.enqueue_rollback(p.clone()),
                 None => remote.enqueue_snapshot_rollback(),
             }
-            if let Err(e) = fleet.await_worker(w, base, epoch0) {
+            if let Err(e) = fleet.await_worker(w, &remote, base, epoch0) {
                 // Close the hop's lifecycle on the handle it was enqueued
                 // on (the seat may have been swapped under us) before
                 // surfacing the failure.
                 remote.cancel_pending("rollback interrupted");
                 return Err(self.globalize_stall(e, fi));
             }
-            if let Some(r) = remote.reports().last() {
-                if r.rolled_back {
-                    self.rollbacks.push((gid, r.clone()));
-                }
+            if let Some(r) = remote.last_report().filter(|r| r.rolled_back) {
+                self.rollbacks.push((gid, r));
             }
             fleet.refresh_skew();
             self.skew.sample(orch.global_skew())?;
@@ -1062,6 +1080,7 @@ impl Run<'_, '_> {
             }
             // Hop count: walk the retained transitions newest-first until
             // one *starts* at the target (that hop lands on it).
+            let epoch0 = w.epoch();
             let remote = w.remote();
             let transitions = remote.snapshot_transitions();
             let mut hops = 0usize;
@@ -1076,21 +1095,15 @@ impl Run<'_, '_> {
             if !reachable {
                 continue;
             }
-            let base = (
-                remote.applied_count(),
-                remote.failure_count(),
-                remote.pauses().len(),
-            );
-            let epoch0 = w.epoch();
+            let base = baseline(&remote);
             let queued = remote.enqueue_rollback_chain(hops);
-            let applied0 = base.0;
-            if let Err(e) = fleet.await_worker_n(w, base, queued, epoch0) {
+            if let Err(e) = fleet.await_worker_n(w, &remote, base, queued, epoch0) {
                 // As in `roll_back_forward`: defuse the enqueued hops on
                 // the handle that holds them before surfacing the error.
                 remote.cancel_pending("rollback chain interrupted");
                 return Err(self.globalize_stall(e, fi));
             }
-            for r in remote.reports().into_iter().skip(applied0) {
+            for r in remote.reports_from(base.0) {
                 if r.rolled_back {
                     self.rollbacks.push((gid, r));
                 }
@@ -1159,6 +1172,55 @@ mod tests {
             )
             .resolve(1),
             vec![vec![0]]
+        );
+    }
+
+    #[test]
+    fn liveness_windows_close_on_evidence() {
+        let long = Duration::from_secs(30);
+        // Conclusive at the first reading, either way: one read, no wait.
+        for first in [(3, 7), (0, 0)] {
+            let mut reads = 0;
+            let settled = settle_liveness(long, || {
+                reads += 1;
+                first
+            });
+            assert_eq!((settled, reads), (first, 1));
+        }
+        // Backlog and no completion: held open until a completion lands…
+        let mut reads = 0;
+        let settled = settle_liveness(long, || {
+            reads += 1;
+            (usize::from(reads == 3), 5)
+        });
+        assert_eq!((settled, reads), ((1, 5), 3));
+        // …or until the backlog clears.
+        let mut reads = 0;
+        let settled = settle_liveness(long, || {
+            reads += 1;
+            (0, 4 - reads.min(4))
+        });
+        assert_eq!((settled, reads), ((0, 0), 4));
+        // Neither, for the whole budget: the reading a gate calls
+        // `Stalled` comes back, and not before the budget has passed.
+        let budget = Duration::from_millis(5);
+        let began = Instant::now();
+        let settled = settle_liveness(budget, || (0, 9));
+        assert!(began.elapsed() >= budget);
+        let gate = HealthGate::new(PauseSlo::p99(budget));
+        let health = StepHealth {
+            worker: 2,
+            pause_at_quantile: None,
+            new_failures: 0,
+            new_read_errors: 0,
+            new_completions: settled.0,
+            queued: settled.1,
+            sojourn_at_quantile: None,
+            new_sheds: 0,
+        };
+        assert_eq!(
+            gate.check(&health),
+            Err(HealthBreach::Stalled { worker: 2 })
         );
     }
 

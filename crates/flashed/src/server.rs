@@ -689,12 +689,16 @@ impl Server {
                             let raw = r.t0.elapsed();
                             // Suspensions at update points between this
                             // request's pull and its response are update
-                            // pause, not service time.
+                            // pause, not service time. One updater's pauses
+                            // are appended in time order: scan from the
+                            // newest, stop at the first that began before
+                            // the pull.
                             let pause: Duration = pauses
                                 .lock()
                                 .expect("poisoned")
                                 .iter()
-                                .filter(|ev| ev.at >= r.t0)
+                                .rev()
+                                .take_while(|ev| ev.at >= r.t0)
                                 .map(|ev| ev.dur)
                                 .sum();
                             (raw.saturating_sub(pause), pause, r.queue_wait, Some(r.id))

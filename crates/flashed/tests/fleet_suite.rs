@@ -1,13 +1,24 @@
 //! Multi-worker fleet behaviour: sharding, coordinated rollouts, and
 //! partial-failure handling.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dsu_core::UpdaterRemote;
 use flashed::{
-    patch_stream, versions, EdgeConfig, Fleet, FleetConfig, RolloutPlan, RoutePolicy, SimFs,
-    Workload,
+    patch_stream, versions, BreachAction, EdgeConfig, Fleet, FleetConfig, PauseSlo, RolloutOutcome,
+    RolloutPlan, RoutePolicy, SimFs, Workload,
 };
+
+/// How long a wake-seam test lets a wait run before calling the wake
+/// lost. The waits have no timer of their own, so a lost wake blocks until
+/// this guard — far above anything a live wake takes.
+const WAKE_GUARD: Duration = Duration::from_secs(30);
+
+/// The most a woken wait may have taken: well inside [`WAKE_GUARD`], well
+/// above scheduler noise on a loaded two-core box.
+const WAKE_MARGIN: Duration = Duration::from_secs(10);
 
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 7);
@@ -72,10 +83,17 @@ fn simultaneous_rollout_updates_every_worker_at_once() {
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     fleet.push_requests(wl.batch(300));
-    let report = fleet
+    let rollout = fleet
         .rollout_plan(&gen.patch, &RolloutPlan::simultaneous())
-        .unwrap()
-        .fleet_report;
+        .unwrap();
+    // The coordinator wakes on each worker's end-of-pause publish, which
+    // follows the pause event: no step of the barrier cohort is carded
+    // pauseless.
+    assert_eq!(rollout.card.steps.len(), 3);
+    for step in &rollout.card.steps {
+        assert!(step.pause_at_quantile.is_some(), "{step:?}");
+    }
+    let report = rollout.fleet_report;
     assert!(report.complete(), "{report}");
     assert_eq!(report.applied.len(), 3);
     assert!(report.failed.is_empty());
@@ -116,6 +134,15 @@ fn rolling_rollout_never_stops_serving() {
     let gen = &patch_stream().unwrap()[0]; // v1 -> v2
 
     fleet.push_requests(wl.batch(600));
+    // Mid-traffic means v1 has answered something: a coordinator that
+    // waits on no timer can otherwise finish all three hops before any
+    // worker completes its first 100 µs read.
+    let shared = fleet.shared();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while shared.completions_len() == 0 {
+        assert!(Instant::now() < deadline, "v1 never answered a request");
+        std::thread::yield_now();
+    }
     let report = fleet
         .rollout_plan(&gen.patch, &RolloutPlan::rolling())
         .unwrap()
@@ -194,4 +221,134 @@ fn bare_remote_enqueue_reaches_an_idle_worker() {
         assert_eq!(fleet.live_versions(), vec!["v1", "v1"]);
         fleet.shutdown().unwrap();
     }
+}
+
+/// A publish that lands after the waiter read the event count but before
+/// it parked must not be lost. The predicate forces exactly that
+/// interleaving: its first evaluation publishes (a withdrawal on an empty
+/// queue) and reports "not ready", so the park that follows has to see
+/// the count moved and return at once.
+#[test]
+fn a_publish_between_the_predicate_and_the_park_is_not_lost() {
+    let (fs, _) = fixture();
+    let gen = &patch_stream().unwrap()[0]; // v1 -> v2
+    let fleet = Fleet::start_cfg(&FleetConfig::new(1), &versions::v1(), "v1", &fs).unwrap();
+    let remote = fleet.remote(0);
+
+    // An outcome that already exists when the wait starts: no park at all.
+    remote.enqueue(gen.patch.clone());
+    await_applied(&remote, 1);
+    let began = Instant::now();
+    let seen = remote.wait_until(began + WAKE_GUARD, || {
+        (remote.applied_count() == 1 && remote.pending_count() == 0).then(|| remote.pause_count())
+    });
+    assert_eq!(seen, Some(1), "the apply's pause is published with it");
+    assert!(began.elapsed() < WAKE_MARGIN);
+
+    let mut evaluations = 0;
+    let began = Instant::now();
+    let woke = remote.wait_until(began + WAKE_GUARD, || {
+        evaluations += 1;
+        if evaluations == 1 {
+            remote.cancel_pending("test: publish under the waiter's feet");
+            return None;
+        }
+        Some(())
+    });
+    assert_eq!(woke, Some(()));
+    assert_eq!(evaluations, 2);
+    assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
+
+    // Nothing published and nothing to wait for: the deadline is the only
+    // way out, and it is honoured.
+    let began = Instant::now();
+    let timed_out = remote.wait_until(began + Duration::from_millis(20), || None::<()>);
+    assert_eq!(timed_out, None);
+    assert!(began.elapsed() >= Duration::from_millis(20));
+    fleet.shutdown().unwrap();
+}
+
+/// A withdrawal from another thread wakes a parked waiter. The canceller
+/// is released from inside the waiter's first evaluation, so it runs
+/// either just before the park (count moved: no park) or after it (a real
+/// wake) — never before the wait began.
+#[test]
+fn cancel_pending_from_another_thread_wakes_a_parked_waiter() {
+    let (fs, _) = fixture();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(1), &versions::v1(), "v1", &fs).unwrap();
+    let remote = fleet.remote(0);
+    let withdrawn = AtomicBool::new(false);
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+
+    std::thread::scope(|scope| {
+        let canceller = remote.clone();
+        let withdrawn = &withdrawn;
+        scope.spawn(move || {
+            go_rx.recv().unwrap();
+            // State first, then the publish — the rule every waker keeps.
+            withdrawn.store(true, Ordering::SeqCst);
+            canceller.cancel_pending("test: withdrawn while a waiter is parked");
+        });
+        let mut released = false;
+        let began = Instant::now();
+        let woke = remote.wait_until(began + WAKE_GUARD, || {
+            if !released {
+                released = true;
+                go_tx.send(()).unwrap();
+            }
+            withdrawn.load(Ordering::SeqCst).then_some(())
+        });
+        assert_eq!(woke, Some(()));
+        assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
+    });
+    fleet.shutdown().unwrap();
+}
+
+/// A chain rollback resolves several hops per worker in one pause; the
+/// coordinator parks once per worker and wakes with all of it visible.
+/// Walk v1 -> v4, breach the canary's v4 -> v5 step on an impossible
+/// budget, and the reaction takes the canary back four hops and the rest
+/// three — every forward step carded with its pause, every restore
+/// carded, every worker's pause total covering its chain.
+#[test]
+fn a_four_hop_chain_rollback_cards_every_pause() {
+    let (fs, mut wl) = fixture();
+    let fleet = Fleet::start_cfg(&FleetConfig::new(3), &versions::v1(), "v1", &fs).unwrap();
+    let stream = patch_stream().unwrap();
+    fleet.push_requests(wl.batch(90));
+    for gen in &stream[..3] {
+        let r = fleet
+            .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+            .unwrap();
+        assert!(r.card.steps.iter().all(|s| s.pause_at_quantile.is_some()));
+    }
+    assert!(fleet.live_versions().iter().all(|v| v == "v4"));
+
+    let plan = RolloutPlan::guarded(
+        0,
+        PauseSlo::p99(Duration::from_nanos(1)),
+        BreachAction::ChainRollBack {
+            to_version: "v1".to_string(),
+        },
+    );
+    let began = Instant::now();
+    let report = fleet.rollout_plan(&stream[3].patch, &plan).unwrap();
+    assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
+    assert!(
+        matches!(report.card.outcome, RolloutOutcome::RolledBack(_)),
+        "{:?}",
+        report.card.outcome
+    );
+    assert_eq!(report.card.steps.len(), 1, "the canary breached");
+    assert!(report.card.steps[0].pause_at_quantile.is_some());
+    assert_eq!(report.card.rollbacks.len(), 4 + 3 + 3);
+    assert!(report.card.final_versions.iter().all(|v| v == "v1"));
+    assert_eq!(report.fleet_report.pauses.len(), 3);
+    assert!(report
+        .fleet_report
+        .pauses
+        .iter()
+        .all(|p| *p > Duration::ZERO));
+    fleet.drain(90).unwrap();
+    fleet.shutdown().unwrap();
 }

@@ -236,6 +236,51 @@ fn in_request_update_pause_is_excluded_from_service_time() {
     );
 }
 
+/// `send_response` finds a request's pauses by walking the pause log
+/// from its newest entry back to the pull. With a long history behind it,
+/// a request pulled before one pause and answered after it is charged
+/// exactly that pause — none of the hundred-odd before it — and a request
+/// no pause touched is charged nothing.
+#[test]
+fn a_long_pause_history_charges_a_request_exactly_its_own_pause() {
+    use dsu_core::PatchGen;
+
+    let v2 = MID_REQUEST_V1.replace("\"old:\"", "\"new:\"");
+    let forward = PatchGen::new()
+        .generate(MID_REQUEST_V1, &v2, "v1", "v2")
+        .unwrap()
+        .patch;
+    let back = PatchGen::new()
+        .generate(&v2, MID_REQUEST_V1, "v2", "v1")
+        .unwrap()
+        .patch;
+
+    let mut s = Server::start(&ServerConfig::new(), MID_REQUEST_V1, "v1", SimFs::new()).unwrap();
+    const ROUNDS: usize = 120;
+    for round in 0..ROUNDS {
+        // One request per round, pulled before the update point the
+        // queued patch lands at and answered after it.
+        s.push_requests([format!("req-{round}")]);
+        s.queue_patch(if round % 2 == 0 {
+            forward.clone()
+        } else {
+            back.clone()
+        });
+        assert_eq!(s.serve().unwrap(), 1);
+    }
+    let pauses = s.updater.pauses();
+    let completions = s.completions();
+    assert_eq!(pauses.len(), ROUNDS);
+    assert_eq!(completions.len(), ROUNDS);
+    for (round, (c, p)) in completions.iter().zip(&pauses).enumerate() {
+        assert_eq!(c.update_pause, p.dur, "round {round}");
+    }
+
+    s.push_requests(["quiet".to_string()]);
+    assert_eq!(s.serve().unwrap(), 1);
+    assert_eq!(s.completions().last().unwrap().update_pause, Duration::ZERO);
+}
+
 #[test]
 fn response_without_a_pull_is_flagged_and_excluded_from_stats() {
     const SPONTANEOUS: &str = r#"

@@ -13,6 +13,13 @@ use flashed::{
     RoutePolicy, SimFs, SupervisorConfig, WorkerFailure, Workload,
 };
 
+/// How long a wake-seam test lets a wait run before calling the wake
+/// lost (the waits have no timer of their own), and the most a woken
+/// wait may have taken: supervisor poll + backoff + reboot are
+/// milliseconds, the margin is scheduler noise on a loaded two-core box.
+const WAKE_GUARD: Duration = Duration::from_secs(30);
+const WAKE_MARGIN: Duration = Duration::from_secs(10);
+
 fn fixture() -> (SimFs, Workload) {
     let fs = SimFs::generate_fixed(16, 256, 7);
     let wl = Workload::new(fs.paths(), 1.0, 53);
@@ -122,12 +129,23 @@ fn mid_transform_crash_recovers_from_the_persisted_ring_and_redrives() {
     let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
     let stream = patch_stream().unwrap();
 
-    // Seed the crash-durable state: v1 -> v2 lands everywhere, so each
-    // worker persists a one-hop chain plus its snapshot ring.
+    // Seed the crash-durable state: v1 -> v2 lands everywhere, and each
+    // worker persists a one-hop chain plus its snapshot ring — at its
+    // *next* loop top, which can be after `rollout_plan` returned. A
+    // worker bumps its heartbeat and then persists, every turn: two bumps
+    // past a reading taken after the apply mean one whole turn, persist
+    // included, has run since.
     fleet.push_requests(wl.batch(60));
     fleet
         .rollout_plan(&stream[0].patch, &RolloutPlan::rolling())
         .unwrap();
+    fleet.drain(60).unwrap();
+    for w in 0..2 {
+        let beat = fleet.worker_heartbeat(w);
+        await_cond(Duration::from_secs(10), "hop 1 to be persisted", || {
+            fleet.worker_heartbeat(w) >= beat + 2
+        });
+    }
 
     // Kill worker 1 at the worst spot of the next hop: inside the
     // transform phase, bindings already flipped.
@@ -169,6 +187,119 @@ fn mid_transform_crash_recovers_from_the_persisted_ring_and_redrives() {
 
     fleet.drain(120).unwrap();
     fleet.shutdown().unwrap();
+}
+
+/// The supervisor publishes, then wakes: a waiter parked on the crashed
+/// incarnation's handle is woken by the epoch bump — no timer runs in
+/// between — and everything the restart produced is already readable:
+/// the restart report, the worker marked up, the fresh seat.
+#[test]
+fn a_supervised_restart_wakes_a_parked_waiter_after_its_report_is_logged() {
+    let (fs, mut wl) = fixture();
+    let fleet = Fleet::start_cfg(
+        &FleetConfig::new(2).supervised(),
+        &versions::v1(),
+        "v1",
+        &fs,
+    )
+    .unwrap();
+    fleet.push_requests(wl.batch(20));
+    fleet.drain(20).unwrap();
+
+    let remote = fleet.remote(0);
+    fleet.inject_worker_fault(
+        0,
+        FaultPlan {
+            crash_at: Some(CrashPoint::Serving),
+            ..FaultPlan::default()
+        },
+    );
+    let began = Instant::now();
+    let seen = remote.wait_until(began + WAKE_GUARD, || {
+        (fleet.worker_epoch(0) == 1).then(|| (fleet.restart_reports().len(), fleet.worker_up(0)))
+    });
+    assert_eq!(
+        seen,
+        Some((1, true)),
+        "woken before the restart was published"
+    );
+    assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
+    fleet.shutdown().unwrap();
+}
+
+/// With the restart budget spent, the death of a worker mid-apply ends
+/// the coordinator's wait with `WorkerDown` as soon as the supervisor
+/// gives up — not at the 30 s rollout deadline.
+#[test]
+fn an_exhausted_budget_wakes_the_coordinator_with_worker_down() {
+    let (fs, _) = fixture();
+    let cfg = FleetConfig::new(2).with_supervision(SupervisorConfig {
+        max_restarts: 0,
+        ..SupervisorConfig::default()
+    });
+    let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
+    // The crash fires inside the apply of the patch the coordinator is by
+    // then waiting on, so the give-up necessarily finds it parked.
+    fleet.inject_worker_fault(
+        0,
+        FaultPlan {
+            crash_at: Some(CrashPoint::MidTransform),
+            ..FaultPlan::default()
+        },
+    );
+    let began = Instant::now();
+    let err = fleet
+        .rollout_plan(&patch_stream().unwrap()[0].patch, &RolloutPlan::rolling())
+        .unwrap_err();
+    assert!(
+        matches!(err, FleetError::WorkerDown { worker: 0 }),
+        "expected worker 0 down, got {err}"
+    );
+    assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
+    assert!(!fleet.worker_up(0));
+    assert!(fleet.restart_reports().is_empty());
+    assert!(matches!(
+        fleet.shutdown().unwrap_err(),
+        FleetError::Worker {
+            worker: 0,
+            cause: WorkerFailure::GaveUp { restarts: 0 },
+        }
+    ));
+}
+
+/// Nobody wakes the coordinator of an unsupervised fleet when a worker
+/// dies mid-apply: the rollout deadline is the one bound left, and it
+/// still holds.
+#[test]
+fn an_unsupervised_dead_worker_stalls_the_rollout_at_its_deadline() {
+    let (fs, _) = fixture();
+    let deadline = Duration::from_millis(300);
+    let cfg = FleetConfig::new(2).rollout_deadline(deadline);
+    let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
+    fleet.inject_worker_fault(
+        0,
+        FaultPlan {
+            crash_at: Some(CrashPoint::MidTransform),
+            ..FaultPlan::default()
+        },
+    );
+    let began = Instant::now();
+    let err = fleet
+        .rollout_plan(&patch_stream().unwrap()[0].patch, &RolloutPlan::rolling())
+        .unwrap_err();
+    assert!(
+        matches!(err, FleetError::RolloutStalled { worker: 0 }),
+        "expected worker 0 stalled, got {err}"
+    );
+    assert!(began.elapsed() >= deadline, "{:?}", began.elapsed());
+    assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
+    assert!(matches!(
+        fleet.shutdown().unwrap_err(),
+        FleetError::Worker {
+            worker: 0,
+            cause: WorkerFailure::Crashed(CrashPoint::MidTransform),
+        }
+    ));
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //!
 //! Acceptance (enforced outside smoke mode): the per-request attributed
 //! pause time sums to within 1% of the journal's pause+drain phase
-//! totals — the trace and the journal tell the same story about where
-//! the update's cost went. The span forest must also be invariant-clean
+//! totals (drain ≈ 0: the AMPED pause does not wait for parked reads) —
+//! the trace and the journal tell the same story about where the
+//! update's cost went. The span forest must also be invariant-clean
 //! (`validate_spans`), and every journalled lifecycle well-formed.
 //!
 //! Artifacts land under `target/telemetry/`: the Chrome trace

@@ -21,8 +21,7 @@
 //!   mechanical type changes;
 //! * [`SnapshotRing`] — first-class rollback: a bounded ring of
 //!   pre-update snapshots per process, driving both snapshot restores and
-//!   inverse-patch downgrades through the [`Updater`];
-//! * [`VersionManager`] — version history and best-effort rollback.
+//!   inverse-patch downgrades through the [`Updater`].
 //!
 //! ## Quick start
 //!
@@ -57,7 +56,6 @@ pub mod patchgen;
 pub mod report;
 pub mod rollback;
 pub mod runtime;
-pub mod version;
 
 pub use apply::{
     apply_patch, apply_patch_spanned, set_phase_probe, PhaseSpanLog, TransformTiming, UpdatePolicy,
@@ -74,7 +72,6 @@ pub use rollback::{SnapshotEntry, SnapshotRing, DEFAULT_SNAPSHOT_DEPTH};
 pub use runtime::{
     decode_worker_state, DrainHook, Gate, PauseEvent, PauseLog, RunError, Updater, UpdaterRemote,
 };
-pub use version::VersionManager;
 
 #[cfg(test)]
 mod tests {
@@ -575,29 +572,6 @@ mod tests {
         apply_patch(&mut p, &gen.patch, UpdatePolicy::default()).unwrap();
         // Manual transformer doubled v: 41 + 10.
         assert_eq!(p.call("f", vec![]).unwrap(), Value::Int(51));
-    }
-
-    #[test]
-    fn version_manager_rolls_back() {
-        let mut p = boot("fun f(): int { return 1; }");
-        let mut vm_ = VersionManager::new();
-        vm_.record(&p, "v1");
-        let patch = compile_patch(
-            "fun f(): int { return 2; }",
-            "v1",
-            "v2",
-            &interface_of(&p),
-            Manifest {
-                replaces: vec!["f".into()],
-                ..Manifest::default()
-            },
-        )
-        .unwrap();
-        apply_patch(&mut p, &patch, UpdatePolicy::default()).unwrap();
-        assert_eq!(p.call("f", vec![]).unwrap(), Value::Int(2));
-        assert!(vm_.rollback_to(&mut p, "v1"));
-        assert_eq!(p.call("f", vec![]).unwrap(), Value::Int(1));
-        assert!(!vm_.rollback_to(&mut p, "v9"));
     }
 
     #[test]

@@ -8,10 +8,10 @@ use std::time::Duration;
 /// paper's patch-application experiment (Table 2) reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Quiescence drain: time spent waiting for in-flight host work
-    /// (e.g. parked event-loop reads) to complete before the patch
-    /// touched the process. Zero when the host had nothing in flight
-    /// (and always, for hosts without a drain hook installed).
+    /// Time spent in the host's drain hook before the patch touched the
+    /// process: a host whose in-flight work holds guest state waits for
+    /// it there. Zero for hosts without a hook; FlashEd's hook carries
+    /// injected pause faults only, so it reads ≈ 0 unless one is armed.
     pub drain: Duration,
     /// Bytecode re-verification of the patch module.
     pub verify: Duration,

@@ -11,9 +11,8 @@
 //!   reverse transformers — counters keep counting, caches stay warm.
 //! * **Snapshot restore** — pop the ring and restore the recorded
 //!   bindings, slots, type names and global values. Instant and
-//!   transformer-free, but best-effort about state in the same sense as
-//!   [`crate::VersionManager`]: guest mutations made *after* the forward
-//!   update are discarded with the restore.
+//!   transformer-free, but best-effort about state: guest mutations made
+//!   *after* the forward update are discarded with the restore.
 //!
 //! Either way the runtime marks the resulting report `rolled_back` and
 //! closes its journal lifecycle with `Stage::RolledBack` — a reverse

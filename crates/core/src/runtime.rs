@@ -52,11 +52,11 @@ pub type PauseLog = Arc<Mutex<Vec<PauseEvent>>>;
 pub type Gate = Box<dyn FnOnce() + Send>;
 
 /// A persistent quiescence hook run at the start of *every* update pause,
-/// before the gate and before any patch applies. Hosts with asynchronous
-/// in-flight work (e.g. the FlashEd event loop's parked reads) install one
-/// to drain that work to quiescence; the updater times the call and
-/// charges the wait to the pause's first applied patch as
-/// [`crate::PhaseTimings::drain`].
+/// before the gate and before any patch applies. A host whose asynchronous
+/// in-flight work holds guest values or frames installs one to drain that
+/// work to quiescence (FlashEd's parked reads hold neither; its hook only
+/// injects faults); the updater times the call and charges the wait to the
+/// pause's first applied patch as [`crate::PhaseTimings::drain`].
 pub type DrainHook = Box<dyn FnMut() + Send>;
 
 /// What the outcome signal's lock guards.
@@ -157,10 +157,11 @@ enum OpKind {
     /// version while preserving current guest state; its lifecycle closes
     /// with `RolledBack` instead of `Committed`.
     Apply { patch: Box<Patch>, rollback: bool },
-    /// Pop the snapshot ring and restore its top entry (best-effort state,
-    /// like [`crate::VersionManager`]). The versions are resolved from the
-    /// ring at enqueue time for the journal's benefit; apply re-reads the
-    /// ring, so a raced ring is surfaced as an abort, not a wrong restore.
+    /// Pop the snapshot ring and restore its top entry (best-effort state:
+    /// guest mutations made after the forward apply are lost). The
+    /// versions are resolved from the ring at enqueue time for the
+    /// journal's benefit; apply re-reads the ring, so a raced ring is
+    /// surfaced as an abort, not a wrong restore.
     Restore { from: String, to: String },
 }
 
@@ -639,10 +640,10 @@ impl Updater {
                     head_used: false,
                 }
             });
-        // Drain own in-flight work to quiescence before the rendezvous:
-        // in a barriered fleet every worker finishes its parked work
-        // concurrently, then they line up. The wait is timed here so the
-        // report and the journal agree on it exactly.
+        // The host's drain hook runs before the rendezvous: in a barriered
+        // fleet every worker does its own waiting concurrently, then they
+        // line up. The wait is timed here so the report and the journal
+        // agree on it exactly.
         let drain_dur = {
             let mut hook = self.drain_hook.lock().expect("poisoned");
             match hook.as_mut() {
@@ -817,7 +818,7 @@ impl Updater {
                     // The quiescence wait is charged once, to the first
                     // patch this pause applies.
                     report.timings.drain += std::mem::take(&mut drain_dur);
-                    self.record_chain_hop(&queued.kind, &report);
+                    self.record_chain_hop(queued.kind, &report);
                     let link = span_ctx.as_mut().map(|ctx| {
                         record_update_spans(
                             ctx,
@@ -859,9 +860,9 @@ impl Updater {
     }
 
     /// Mirrors a successful op into the replay chain: forward applies
-    /// push their patch; rollbacks (inverse patch or snapshot restore)
+    /// move their patch in; rollbacks (inverse patch or snapshot restore)
     /// pop the hop they undo when it is the chain tip.
-    fn record_chain_hop(&mut self, kind: &OpKind, report: &UpdateReport) {
+    fn record_chain_hop(&mut self, kind: OpKind, report: &UpdateReport) {
         if report.rolled_back {
             let undoes_tip = self.chain.last().is_some_and(|p| {
                 p.to_version == report.from_version && p.from_version == report.to_version
@@ -870,7 +871,7 @@ impl Updater {
                 self.chain.pop();
             }
         } else if let OpKind::Apply { patch, .. } = kind {
-            self.chain.push((**patch).clone());
+            self.chain.push(*patch);
         }
     }
 

@@ -38,8 +38,10 @@ use crate::versions;
 /// Where an injected crash kills the worker thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Inside the update pause's quiescence drain, before any patch
-    /// applies — queued ops are still `Enqueued` when the thread dies.
+    /// Inside the update pause's drain hook, before any patch applies —
+    /// queued ops are still `Enqueued` when the thread dies, and the
+    /// worker's admitted-but-unanswered requests (ready or parked on a
+    /// read) die with it.
     MidPause,
     /// At the start of the apply pipeline's `transform` phase — the worst
     /// spot: bindings already flipped, state transformation interrupted.
@@ -94,9 +96,9 @@ pub(crate) fn crash_if_armed(plan: &Mutex<FaultPlan>, point: CrashPoint) {
 /// nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Extra sleep inside every update pause (after in-flight work
-    /// quiesces, before any patch applies) — inflates the recorded pause
-    /// past a pause-SLO budget.
+    /// Extra sleep inside every update pause (in the drain hook, before
+    /// any patch applies) — inflates the recorded pause, and its `drain`
+    /// phase, past a pause-SLO budget.
     pub pause_delay: Option<Duration>,
     /// Sleep at the pause's quiescence gate long enough for a
     /// coordinator's rollout deadline to expire — a worker that "hangs"
@@ -125,8 +127,8 @@ impl FaultPlan {
     }
 
     /// Sleeps the injected pause delays. Called from the worker's drain
-    /// hook, so the wait lands in the pause (and its `drain` phase) like
-    /// any genuine quiescence stall would.
+    /// hook, so the wait lands in the pause and its `drain` phase — the
+    /// only thing a FlashEd server ever charges there.
     pub(crate) fn sleep(&self) {
         if let Some(d) = self.pause_delay {
             std::thread::sleep(d);

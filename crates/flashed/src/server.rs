@@ -21,10 +21,12 @@
 //!   [`AsyncFs`] helper pool, parks each request on its read ticket, and
 //!   hands requests to the guest only once their content sits in the
 //!   buffer cache. The guest's `fs_read` then completes from cache without
-//!   sleeping, so one worker overlaps many device waits. Dynamic updates
-//!   remain safe: before a patch binds, the updater's drain hook waits for
-//!   every parked read, and that wait is charged to the report's (and
-//!   journal's) `drain` phase.
+//!   sleeping, so one worker overlaps many device waits. A dynamic update
+//!   does not wait for parked reads: a parked request is host data (text,
+//!   an id, a ticket) that crosses versions the way a request still in the
+//!   inbox does, and is served by whichever version is bound when its read
+//!   comes back. The updater's drain hook carries injected faults only, so
+//!   the report's (and journal's) `drain` phase reads zero without one.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -449,8 +451,9 @@ impl ServerConfig {
     }
 
     /// Sets the serve mode. [`ServeMode::EventLoop`] boots the AMPED
-    /// machinery — helper pool, buffer cache, drain hook — around the
-    /// same guest.
+    /// machinery — helper pool, buffer cache, parked and ready queues —
+    /// around the same guest. Updates pause the guest, not the reads in
+    /// flight.
     pub fn serve_mode(mut self, mode: ServeMode) -> ServerConfig {
         self.serve_mode = mode;
         self
@@ -530,26 +533,16 @@ impl Server {
                 ready: Mutex::new(VecDeque::new()),
             })),
         };
-        // Quiescence hook, run and timed at the start of every pause. In
-        // event-loop mode it first drains the parked reads (before any
-        // patch binds, every in-flight read must complete; the wait lands
-        // in the report's and journal's `drain` phase). In both modes it
-        // then sleeps any injected pause faults, so an injected stall is
-        // charged exactly where a genuine quiescence stall would be.
+        // Fault seam, run and timed at the start of every pause: it sleeps
+        // any injected pause faults, so an injected stall is charged to
+        // the report's and journal's `drain` phase. It does not wait for
+        // reads parked in the event loop — those are host data and stay in
+        // flight across the update (DESIGN.md, "The pause stops the guest,
+        // not the disk").
         let fault = Arc::new(Mutex::new(FaultPlan::default()));
         {
             let fault = Arc::clone(&fault);
-            let ev = event.clone();
             updater.set_drain_hook(Box::new(move || {
-                if let Some(ev) = &ev {
-                    loop {
-                        ev.reap();
-                        if ev.parked.lock().expect("poisoned").is_empty() {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_micros(20));
-                    }
-                }
                 let plan = *fault.lock().expect("poisoned");
                 plan.sleep();
                 // The mid-pause crash point lives here: the pause has

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use dsu_obs::journal::validate_lifecycle;
 use flashed::{
-    versions, EventLoopConfig, Fleet, FleetConfig, RolloutPlan, ServeMode, Server, ServerConfig,
-    ServerTelemetry, SimFs, WorkerOverride, Workload,
+    parse_response, versions, EventLoopConfig, FaultPlan, Fleet, FleetConfig, Response,
+    RolloutPlan, ServeMode, Server, ServerConfig, ServerTelemetry, SimFs, WorkerOverride, Workload,
 };
 
 fn event_mode(helpers: usize, max_in_flight: usize) -> ServeMode {
@@ -119,19 +119,20 @@ fn event_loop_overlaps_reads_and_counts_cache_traffic() {
     assert_eq!(amped.completions().len(), 32);
 }
 
-/// The tentpole safety property: a patch arriving while requests are
-/// parked on in-flight reads must wait for them (quiescence). The wait is
-/// charged to the report's `drain` phase, and the journal's phase sum
-/// still equals the report total *exactly*.
+/// An update pause stops the guest, not the disk: a patch landing while
+/// requests are parked on in-flight reads binds at once, the reads stay
+/// in flight across it, and each parked request is served exactly once,
+/// by the new version, when its read comes back.
 #[test]
-fn update_mid_loop_drains_parked_requests() {
+fn update_mid_loop_leaves_parked_reads_in_flight() {
+    let read_latency = Duration::from_millis(3);
     let mut fs = SimFs::generate_fixed(8, 256, 3);
-    fs.set_read_latency(Duration::from_millis(3));
+    let expected: Vec<String> = fs.paths().iter().map(|p| fs.read(p).unwrap()).collect();
+    fs.set_read_latency(read_latency);
     let wl = Workload::new(fs.paths(), 1.0, 1);
 
     let tel = ServerTelemetry::new();
-    // One helper: reads complete serially, so when the guest hits its
-    // first update point most of the window is still parked.
+    // One helper: the seven cold reads complete serially, 3 ms apart.
     let mut server = Server::start(
         &ServerConfig::new()
             .serve_mode(event_mode(1, 8))
@@ -141,19 +142,29 @@ fn update_mid_loop_drains_parked_requests() {
         fs,
     )
     .unwrap();
+    // Warm the first document, so in the window below its read completes
+    // at admission: the guest answers it under v1 and reaches its update
+    // point with the other seven reads still parked.
+    server.push_requests(wl.sweep(1));
+    assert_eq!(server.serve().unwrap(), 1);
 
     let gen = dsu_core::PatchGen::new()
         .generate(&versions::v1(), &versions::v2(), "v1", "v2")
         .unwrap();
     server.push_requests(wl.sweep(8));
     server.queue_patch(gen.patch);
-    let served = server.serve().unwrap();
-    assert_eq!(served, 8);
+    assert_eq!(server.serve().unwrap(), 8);
 
+    // The pause is the pipeline, not the ≈ 21 ms of reads still parked.
     let report = &server.updater.log()[0];
     assert!(
-        report.timings.drain > Duration::ZERO,
-        "parked reads must be waited for: {:?}",
+        report.timings.total() < read_latency,
+        "the pause must not wait out parked reads: {:?}",
+        report.timings
+    );
+    assert!(
+        report.timings.drain < Duration::from_millis(1),
+        "no fault injected, nothing to drain: {:?}",
         report.timings
     );
     // Journal agrees with the report to the nanosecond.
@@ -164,21 +175,121 @@ fn update_mid_loop_drains_parked_requests() {
     assert_eq!(phase_sum, report.timings.total());
     assert_eq!(events.last().unwrap().dur, Some(report.timings.total()));
 
-    // Drained requests completed under the new version (v2 sends
-    // Content-Type; v1 does not).
-    let after_update = server
-        .completions()
+    // One completion per pushed request, none duplicated or lost.
+    let done = server.completions();
+    let mut ids: Vec<u64> = done.iter().map(|c| c.request_id.unwrap()).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1..=9).collect::<Vec<u64>>());
+    let mut bodies: Vec<String> = done
         .iter()
-        .filter(|c| c.response.contains("Content-Type"))
-        .count();
-    assert!(after_update > 0, "drained requests serve on v2");
+        .map(|c| parse_response(&c.response).unwrap().body)
+        .collect();
+    bodies.sort();
+    let mut want = expected;
+    want.push(want[0].clone()); // the warmed document, served twice
+    want.sort();
+    assert_eq!(bodies, want);
+    // A request crossed the pause exactly when it was parked across it;
+    // those — and only those — are served by v2 (v1 sends no
+    // Content-Type).
+    let crossed: Vec<bool> = done.iter().map(|c| !c.update_pause.is_zero()).collect();
+    let typed: Vec<bool> = done
+        .iter()
+        .map(|c| c.response.contains("Content-Type"))
+        .collect();
+    assert_eq!(crossed, typed);
+    assert_eq!(typed.iter().filter(|t| **t).count(), 7);
+}
+
+/// Boots v4 on an event loop with 3 ms reads, admits `/f.html?x=1` (its
+/// read parks), and lands v4→v5 mid-park. `mid_pause` runs inside the
+/// pause with a handle on the disk. Returns the one response.
+fn cross_v4_to_v5_mid_park(fs: SimFs, mid_pause: impl FnOnce(&SimFs) + Send + 'static) -> Response {
+    let read_latency = Duration::from_millis(3);
+    let mut server = Server::start(
+        &ServerConfig::new().serve_mode(event_mode(1, 8)),
+        &versions::v4(),
+        "v4",
+        fs.clone().with_read_latency(read_latency),
+    )
+    .unwrap();
+    let v4_to_v5 = flashed::patch_stream().unwrap().remove(3).patch;
+    server.push_requests(vec!["GET /f.html?x=1 HTTP/1.0".to_string()]);
+    server.queue_patch(v4_to_v5);
+    // The gate runs inside the pause: the request is admitted and its
+    // read is with the helper — an interleaving forced, not slept for.
+    server.remote().set_gate(Box::new(move || mid_pause(&fs)));
+    assert_eq!(server.serve().unwrap(), 1);
+
+    assert_eq!(server.cache_stats(), Some((0, 1)), "one read, parked");
+    let report = &server.updater.log()[0];
+    assert_eq!(report.to_version, "v5");
+    assert!(
+        report.timings.total() < read_latency,
+        "{:?}",
+        report.timings
+    );
+    let done = server.completions();
+    assert_eq!(done.len(), 1);
+    assert!(!done[0].update_pause.is_zero(), "parked across the pause");
+    parse_response(&done[0].response).unwrap()
+}
+
+/// A request admitted under one version is answered by the next: v4
+/// would 404 `/f.html?x=1` (it looks the query string up verbatim), v5
+/// strips it — and the prefetch already warmed the stripped path.
+#[test]
+fn parked_request_crosses_versions() {
+    let fs = SimFs::new();
+    fs.insert("/f.html", "<p>corpus</p>");
+    let resp = cross_v4_to_v5_mid_park(fs, |_| {});
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("content-type"), Some("text/html"));
+    assert_eq!(resp.body, "<p>corpus</p>");
+}
+
+/// The new version reads a path the old one's prefetch did not warm: at
+/// admission only a file literally named `/f.html?x=1` exists (what v4
+/// would serve), and `/f.html` is written mid-pause. v5's `fs_read`
+/// misses the buffer cache and falls back to a synchronous read.
+#[test]
+fn parked_request_crossing_to_an_unwarmed_path_reads_through() {
+    let fs = SimFs::new();
+    fs.insert("/f.html?x=1", "<p>verbatim</p>");
+    let resp = cross_v4_to_v5_mid_park(fs, |fs| fs.write("/f.html", "<p>written later</p>"));
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, "<p>written later</p>");
+}
+
+/// The drain hook still carries injected pause faults on an event-loop
+/// server: `pause_delay` is charged to the report's `drain` phase.
+#[test]
+fn injected_pause_delay_lands_in_drain_on_event_loop() {
+    let delay = Duration::from_millis(2);
+    let fs = SimFs::generate_fixed(4, 128, 5);
+    let mut server = Server::start(
+        &ServerConfig::new().serve_mode(event_mode(2, 4)),
+        &versions::v1(),
+        "v1",
+        fs,
+    )
+    .unwrap();
+    server.inject_fault(FaultPlan {
+        pause_delay: Some(delay),
+        ..FaultPlan::none()
+    });
+    server.queue_patch(flashed::patch_stream().unwrap().remove(0).patch);
+    assert_eq!(server.apply_pending_now().unwrap(), 1);
+    let timings = server.updater.log()[0].timings;
+    assert!(timings.drain >= delay, "{timings:?}");
+    assert!(timings.total() - timings.drain < delay, "{timings:?}");
 }
 
 /// Rolling and simultaneous rollouts over an AMPED fleet, mid-traffic:
-/// every worker drains its parked reads, every lifecycle validates, and
-/// the journal timeline's phase totals equal the reports' exactly.
+/// every lifecycle validates, and the journal timeline's phase totals
+/// equal the reports' exactly.
 #[test]
-fn amped_fleet_rollouts_drain_and_reconcile() {
+fn amped_fleet_rollouts_reconcile() {
     let mut fs = SimFs::generate_fixed(24, 512, 9);
     fs.set_read_latency(Duration::from_micros(300));
     let mut wl = Workload::new(fs.paths(), 1.0, 41);

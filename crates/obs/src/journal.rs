@@ -39,8 +39,9 @@ pub enum Stage {
     Enqueued,
     /// Rollout-gate rendezvous (barrier wait) at the start of a pause.
     GateWait,
-    /// Quiescence drain: in-flight host work (e.g. parked event-loop
-    /// reads) completing before the patch binds.
+    /// The host's drain hook, timed: whatever the host waits for before
+    /// the patch binds. FlashEd waits for nothing (parked reads stay in
+    /// flight), so only an injected pause fault shows here.
     Drain,
     /// Bytecode re-verification.
     Verify,

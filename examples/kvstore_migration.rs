@@ -103,11 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         proc.call("get", vec![Value::str("paper")])?
     );
 
-    // Record the version for rollback, then generate the patch with the
-    // hand-written transformer.
-    let mut history = VersionManager::new();
-    history.record(&proc, "v1");
-
+    // Generate the patch with the hand-written transformer.
     let gen = PatchGen::new()
         .with_manual(dsu::core::ManualTransformer {
             global: "store".into(),
@@ -124,8 +120,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gen.stats.transformers,
     );
 
-    let report = apply_patch(&mut proc, &gen.patch, UpdatePolicy::default())?;
-    println!("applied: {report}");
+    // Apply through an `Updater`, whose snapshot ring records the
+    // pre-update state for rollback.
+    let mut updater = Updater::new();
+    updater.enqueue(&mut proc, gen.patch);
+    updater.apply_pending(&mut proc)?;
+    println!("applied: {}", updater.log()[0]);
     println!(
         "v2: get(paper) = {}, revision(paper) = {}",
         proc.call("get", vec![Value::str("paper")])?,
@@ -139,7 +139,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The operator decides v2 is bad: roll back.
-    assert!(history.rollback_to(&mut proc, "v1"));
+    updater.enqueue_snapshot_rollback(&mut proc);
+    updater.apply_pending(&mut proc)?;
     println!(
         "\nrolled back to v1: {} entries, get(paper) = {}",
         proc.call("size", vec![])?,

@@ -45,7 +45,7 @@ pub use vm;
 pub mod prelude {
     pub use dsu_core::{
         apply_patch, compile_patch, interface_of, Manifest, Patch, PatchGen, Transformer,
-        TypeAlias, UpdateError, UpdatePolicy, UpdateReport, Updater, VersionManager,
+        TypeAlias, UpdateError, UpdatePolicy, UpdateReport, Updater,
     };
     pub use vm::{LinkMode, Outcome, Process, Value};
 }

@@ -177,19 +177,26 @@ fn flashed_stream_then_rollback_to_every_version() {
     let fs = SimFs::generate_fixed(8, 256, 1);
     let mut wl = Workload::new(fs.paths(), 1.0, 2);
     let mut server = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs).unwrap();
-    let mut history = VersionManager::new();
 
     for gen in patch_stream().unwrap() {
-        history.record(server.process(), gen.patch.from_version.clone());
         server.push_requests(wl.batch(20));
         server.queue_patch(gen.patch);
         server.serve().unwrap();
     }
-    assert_eq!(history.versions(), vec!["v1", "v2", "v3", "v4"]);
+    // Every forward apply left its pre-update snapshot in the ring.
+    let retired: Vec<String> = server
+        .updater
+        .snapshot_transitions()
+        .into_iter()
+        .map(|(from, _)| from)
+        .collect();
+    assert_eq!(retired, ["v1", "v2", "v3", "v4"]);
 
     // Roll all the way back to v1 and verify v1 behaviour (no
     // Content-Type header).
-    assert!(history.rollback_to(server.process_mut(), "v1"));
+    assert_eq!(server.remote().enqueue_rollback_chain(4), 4);
+    assert_eq!(server.apply_pending_now().unwrap(), 4);
+    assert!(server.updater.snapshot_transitions().is_empty());
     server.push_requests(wl.batch(5));
     server.serve().unwrap();
     let last = server.completions().pop().unwrap();

@@ -213,7 +213,7 @@ fn transformer_scaling() -> Result<(), Box<dyn std::error::Error>> {
             &[
                 &n.to_string(),
                 &fmt_dur(report.timings.transform),
-                &format!("{}B", report.heap_after),
+                &format!("{}B", proc.heap_size()),
             ],
             &widths,
         );

@@ -1,31 +1,51 @@
-//! Applying a dynamic patch to a running process.
+//! Applying a dynamic patch to a running process: **stage**, then **commit**.
 //!
-//! The pipeline mirrors the paper's dynamic linker:
+//! The pipeline mirrors the paper's dynamic linker, but only part of it
+//! needs the program stopped. Verification is a function of the patch and
+//! of the type definitions it names — not of live state — so it runs
+//! ahead of the pause, where the patch is enqueued:
 //!
-//! 1. **verify** — type-check the patch's object code against the running
-//!    program's types (nothing unverified is ever linked);
-//! 2. **compat** — the update-safety analysis of [`crate::compat`];
-//! 3. **link** — register new type versions, add new globals, resolve the
-//!    patch code against current bindings plus patch-internal targets;
-//! 4. **bind** — atomically flip name/slot/type bindings and initialise
-//!    new globals (the guest is suspended at an update point throughout,
-//!    so guest-visibly this is one instant);
-//! 5. **transform** — run state transformers over the old global values
-//!    (reading old-layout records through their aliases) and commit the
-//!    new values.
+//! * **stage** ([`stage`], on the enqueuing thread, guest running) —
+//!   type-check the patch's object code against the types the target
+//!   binds, keeping every definition the verifier consulted as the
+//!   patch's [`Certificate`]; precompute the part of link that is a
+//!   function of the patch alone. Stage never rejects: a patch that fails
+//!   verification here is simply left uncertified.
 //!
-//! Any failure rolls the process back to its pre-update bindings via a
-//! snapshot; a rejected update is a no-op.
+//! * **commit** ([`commit`], at the update point, guest suspended):
+//!
+//!   1. **verify** — check the certificate against the process: every
+//!      definition it recorded must still be bound, `==`. When it holds,
+//!      nothing else runs; when it does not, or there is none (a direct
+//!      [`apply_patch`], a patch reloaded from a state blob, a failed
+//!      stage), the full verification runs here, exactly as it would have
+//!      without staging — nothing unverified is ever linked;
+//!   2. **compat** — the update-safety analysis of [`crate::compat`]
+//!      (reads the live stack, so it cannot move);
+//!   3. **link** — register new type versions, add new globals, resolve
+//!      the patch code against current bindings plus patch-internal
+//!      targets (this process's ids, so it cannot move either);
+//!   4. **bind** — atomically flip name/slot/type bindings and initialise
+//!      new globals (the guest is suspended at an update point throughout,
+//!      so guest-visibly this is one instant);
+//!   5. **transform** — run state transformers over the old global values
+//!      (reading old-layout records through their aliases) and commit the
+//!      new values.
+//!
+//! There is one apply path: [`apply_patch`] is the commit step run with
+//! nothing staged. Any failure rolls the process back to its pre-update
+//! bindings via a snapshot; a rejected update is a no-op.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vm::{LinkOverrides, Process, ProcessTypes, Value};
+use tal::{TypeDef, TypeProvider};
+use vm::{BindingSnapshot, LinkOverrides, LinkPlan, Process, ProcessTypes, Value};
 
 use crate::compat;
 use crate::patch::Patch;
-use crate::report::{PhaseTimings, UpdateError, UpdateReport};
+use crate::report::{PhaseTimings, UpdateError, UpdateReport, Verification};
 
 /// A per-thread apply-phase observer; see [`set_phase_probe`].
 type PhaseProbe = Box<dyn FnMut(&'static str)>;
@@ -74,9 +94,11 @@ pub enum TransformTiming {
 /// Tunable update behaviour (the ablation axes of the evaluation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdatePolicy {
-    /// Re-verify patch object code before linking (paper default: on).
-    /// The off setting exists only to measure verification's share of the
-    /// update pause — disabling it trades away the safety guarantee.
+    /// Verify patch object code before linking (paper default: on) — at
+    /// stage, with the certificate checked at commit, or in full at commit
+    /// when nothing holding was staged. The off setting exists only to
+    /// measure verification's share of an update — it turns off stage and
+    /// check together and trades away the safety guarantee.
     pub verify: bool,
     /// Refuse the update when *any* function listed in the manifest is on
     /// the guest stack (Ginseng-style strict activeness). The paper's
@@ -98,27 +120,212 @@ impl Default for UpdatePolicy {
     }
 }
 
-/// Real per-phase intervals, filled by [`apply_patch_spanned`] when the
-/// caller wants trace spans: each entry is `(phase name, start instant,
+/// Real per-phase intervals, filled by the commit step when the caller
+/// wants trace spans: each entry is `(phase name, start instant,
 /// duration)` where the duration is byte-identical to the value stored
 /// into [`PhaseTimings`] — so spans, timings and journal events all
 /// carry the same numbers.
 #[derive(Debug, Default, Clone)]
-pub struct PhaseSpanLog {
+pub(crate) struct PhaseSpanLog {
     /// `(phase, started, dur)` in pipeline order.
     pub phases: Vec<(&'static str, Instant, Duration)>,
 }
 
 impl PhaseSpanLog {
-    /// Records one phase interval. Public so drivers can synthesize
-    /// phases that never pass through `apply_patch` (e.g. a snapshot
-    /// restore's `bind`).
+    /// Records one phase interval (also used for phases that never pass
+    /// through the pipeline, e.g. a snapshot restore's `bind`).
     pub fn push(&mut self, name: &'static str, started: Instant, dur: Duration) {
         self.phases.push((name, started, dur));
     }
 }
 
-/// Applies `patch` to `proc` under `policy`.
+/// What a successful ahead-of-time verification consulted of its
+/// environment: every `(name, definition)` the verifier looked up through
+/// [`TypeProvider::lookup_type`] — its only door to the process — in
+/// first-consulted order. Verification is a deterministic function of the
+/// module and of these answers (imports are typed by the module's own
+/// symbol table and checked against the process by the *linker*, inside
+/// the pause), so "this module verified" stays true in any process that
+/// still binds each name to an equal definition. That is a content check:
+/// no generation counter, no per-process key, the same answer on every
+/// replica of a fleet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Certificate {
+    consulted: Vec<(String, TypeDef)>,
+}
+
+impl Certificate {
+    /// The definitions verification consulted, in first-consulted order.
+    pub fn consulted(&self) -> &[(String, TypeDef)] {
+        &self.consulted
+    }
+
+    /// The first consulted name `types` no longer binds to a definition
+    /// `==` the recorded one; `None` means the certificate holds.
+    pub fn stale(&self, types: &dyn TypeProvider) -> Option<&str> {
+        self.consulted
+            .iter()
+            .find(|(name, def)| types.lookup_type(name) != Some(def))
+            .map(|(name, _)| name.as_str())
+    }
+}
+
+/// A [`TypeProvider`] that remembers what it was asked.
+struct Recording<'a> {
+    types: &'a dyn TypeProvider,
+    consulted: RefCell<Vec<(String, TypeDef)>>,
+    /// A lookup found nothing. The verifier rejects every module for
+    /// which that happens; should it ever not, the run certifies nothing
+    /// (an absence is not recorded, so it could not be re-checked).
+    missed: Cell<bool>,
+}
+
+impl TypeProvider for Recording<'_> {
+    fn lookup_type(&self, name: &str) -> Option<&TypeDef> {
+        let found = self.types.lookup_type(name);
+        match found {
+            Some(def) => {
+                let mut consulted = self.consulted.borrow_mut();
+                if !consulted.iter().any(|(n, _)| n == name) {
+                    consulted.push((name.to_string(), def.clone()));
+                }
+            }
+            None => self.missed.set(true),
+        }
+        found
+    }
+}
+
+/// The half of link that is a function of the patch alone.
+#[derive(Debug)]
+struct Plan {
+    link: LinkPlan,
+    /// Indices into `module.types` of the definitions that get fresh
+    /// registrations: everything that is not an old-version alias.
+    new_types: Vec<usize>,
+    /// Per `manifest.new_globals` entry, its index in `module.globals`.
+    new_globals: Vec<Option<usize>>,
+    /// Per `manifest.transformers` entry, its index in `module.functions`.
+    transformers: Vec<Option<usize>>,
+}
+
+impl Plan {
+    fn of(patch: &Patch) -> Plan {
+        let (module, m) = (&patch.module, &patch.manifest);
+        Plan {
+            link: LinkPlan::of(module),
+            new_types: (0..module.types.len())
+                .filter(|&i| {
+                    !m.type_aliases
+                        .iter()
+                        .any(|a| a.alias == module.types[i].name)
+                })
+                .collect(),
+            new_globals: m
+                .new_globals
+                .iter()
+                .map(|g| module.globals.iter().position(|d| d.name == *g))
+                .collect(),
+            transformers: m
+                .transformers
+                .iter()
+                .map(|x| module.functions.iter().position(|f| f.name == x.function))
+                .collect(),
+        }
+    }
+}
+
+/// Everything [`stage`] computed ahead of the pause.
+#[derive(Debug)]
+struct Ahead {
+    /// `None` when verification failed at stage: commit verifies in full
+    /// and rejects with the typed error.
+    certificate: Option<Certificate>,
+    plan: Plan,
+    /// [`Patch::size_bytes`], for the report.
+    size_bytes: usize,
+}
+
+/// A patch together with whatever was computed for it ahead of the pause:
+/// one immutable value, shared by `Arc` between every process the patch
+/// is enqueued on (a fleet rollout stages once and hands each worker the
+/// same one). Only [`stage`] makes certified ones, so a certificate always
+/// belongs to the patch it travels with.
+#[derive(Debug)]
+pub struct StagedPatch {
+    patch: Patch,
+    ahead: Option<Ahead>,
+    /// What the stage cost, until the first lifecycle that enqueues (or
+    /// directly commits) this value claims it — charged once, like the
+    /// drain wait, so per-lifecycle `staged` figures sum to the time spent.
+    cost: Mutex<Option<Duration>>,
+}
+
+impl StagedPatch {
+    /// Wraps `patch` with nothing staged: commit does everything in the
+    /// pause, as [`apply_patch`] does.
+    pub(crate) fn unstaged(patch: Patch) -> StagedPatch {
+        StagedPatch {
+            patch,
+            ahead: None,
+            cost: Mutex::new(None),
+        }
+    }
+
+    /// The patch.
+    pub fn patch(&self) -> &Patch {
+        &self.patch
+    }
+
+    /// The certificate, when the patch verified at stage.
+    pub fn certificate(&self) -> Option<&Certificate> {
+        self.ahead.as_ref()?.certificate.as_ref()
+    }
+
+    /// Takes the stage's cost; `None` once claimed (or nothing was staged).
+    pub(crate) fn claim_cost(&self) -> Option<Duration> {
+        self.cost.lock().expect("poisoned").take()
+    }
+}
+
+/// The stage step: verifies `patch` against `types` — the types its
+/// target binds *now* — recording what verification consulted as the
+/// patch's [`Certificate`], and precomputes the patch-only half of link.
+/// Runs where a patch is enqueued, on the enqueuing thread, never on a
+/// thread that holds a suspended process.
+///
+/// Stage never rejects: when verification fails the result carries no
+/// certificate and [`commit`] verifies in full, rejecting with the same
+/// typed error at the update point. With `policy.verify` off nothing is
+/// staged at all.
+pub fn stage(patch: Patch, types: &dyn TypeProvider, policy: UpdatePolicy) -> Arc<StagedPatch> {
+    if !policy.verify {
+        return Arc::new(StagedPatch::unstaged(patch));
+    }
+    let began = Instant::now();
+    let recording = Recording {
+        types,
+        consulted: RefCell::new(Vec::new()),
+        missed: Cell::new(false),
+    };
+    let verified = tal::verify_module(&patch.module, &recording).is_ok();
+    let certificate = (verified && !recording.missed.get()).then(|| Certificate {
+        consulted: recording.consulted.into_inner(),
+    });
+    let ahead = Ahead {
+        certificate,
+        plan: Plan::of(&patch),
+        size_bytes: patch.size_bytes(),
+    };
+    Arc::new(StagedPatch {
+        patch,
+        ahead: Some(ahead),
+        cost: Mutex::new(Some(began.elapsed())),
+    })
+}
+
+/// Applies `patch` to `proc` under `policy`: the commit step with nothing
+/// staged — verification and the whole of link run here, in the pause.
 ///
 /// The caller is responsible for quiescence: either the process is
 /// suspended at an update point, or no guest code is running (see
@@ -132,24 +339,57 @@ pub fn apply_patch(
     patch: &Patch,
     policy: UpdatePolicy,
 ) -> Result<UpdateReport, UpdateError> {
-    apply_patch_spanned(proc, patch, policy, None)
+    commit_spanned(proc, patch, None, policy, None).map(|c| c.report)
 }
 
-/// [`apply_patch`], additionally recording one real `(start, dur)`
-/// interval per pipeline phase into `spans` — the update-side feed of
-/// the tracing layer.
+/// The commit step: applies a staged patch to `proc` under `policy`. The
+/// certificate is re-checked against `proc`, never trusted — see the
+/// module docs for the rule. Quiescence is the caller's job, as for
+/// [`apply_patch`].
 ///
 /// # Errors
 ///
 /// Returns an [`UpdateError`]; the process is left exactly as it was.
-pub fn apply_patch_spanned(
+pub fn commit(
+    proc: &mut Process,
+    staged: &StagedPatch,
+    policy: UpdatePolicy,
+) -> Result<UpdateReport, UpdateError> {
+    let mut report = staged.commit_spanned(proc, policy, None)?.report;
+    report.timings.staged = staged.claim_cost().unwrap_or_default();
+    Ok(report)
+}
+
+/// A successful commit: its report, and the binding snapshot taken just
+/// before the process was first touched (the pipeline's own rollback
+/// point, which is also what the updater's snapshot ring retains).
+pub(crate) struct Committed {
+    pub report: UpdateReport,
+    pub before: BindingSnapshot,
+}
+
+impl StagedPatch {
+    /// [`commit`], additionally recording one real `(start, dur)` interval
+    /// per pipeline phase into `spans` — the update-side feed of the
+    /// tracing layer — and handing back the pre-update snapshot.
+    pub(crate) fn commit_spanned(
+        &self,
+        proc: &mut Process,
+        policy: UpdatePolicy,
+        spans: Option<&mut PhaseSpanLog>,
+    ) -> Result<Committed, UpdateError> {
+        commit_spanned(proc, &self.patch, self.ahead.as_ref(), policy, spans)
+    }
+}
+
+fn commit_spanned(
     proc: &mut Process,
     patch: &Patch,
+    ahead: Option<&Ahead>,
     policy: UpdatePolicy,
     mut spans: Option<&mut PhaseSpanLog>,
-) -> Result<UpdateReport, UpdateError> {
+) -> Result<Committed, UpdateError> {
     let mut timings = PhaseTimings::default();
-    let heap_before = proc.heap_size();
 
     // Strict activeness policy (ablation): refuse if any updated function
     // is live on the stack.
@@ -164,12 +404,28 @@ pub fn apply_patch_spanned(
         }
     }
 
-    // Phase 1: verify.
+    // Phase 1: verify — the certificate check, or failing that the real
+    // thing.
     probe_phase("verify");
     let t = Instant::now();
-    if policy.verify {
-        tal::verify_module(&patch.module, &ProcessTypes(proc))?;
-    }
+    let verification = if policy.verify {
+        let types = ProcessTypes(proc);
+        let verification = match ahead.and_then(|a| a.certificate.as_ref()) {
+            None => Verification::NoCertificate,
+            Some(c) => match c.stale(&types) {
+                None => Verification::CertificateHeld,
+                Some(changed) => Verification::Reverified {
+                    changed: changed.to_string(),
+                },
+            },
+        };
+        if verification != Verification::CertificateHeld {
+            tal::verify_module(&patch.module, &types)?;
+        }
+        verification
+    } else {
+        Verification::Skipped
+    };
     timings.verify = t.elapsed();
     if let Some(s) = spans.as_deref_mut() {
         s.push("verify", t, timings.verify);
@@ -185,73 +441,102 @@ pub fn apply_patch_spanned(
     }
 
     // Everything past this point mutates the process; roll back on error.
-    let snapshot = proc.snapshot();
-    match apply_linked(proc, patch, policy, &mut timings, spans) {
-        Ok(report_core) => {
+    let before = proc.snapshot();
+    let plan = ahead.map(|a| &a.plan);
+    match apply_linked(proc, patch, plan, policy, &mut timings, spans) {
+        Ok(globals_transformed) => {
             let m = &patch.manifest;
-            Ok(UpdateReport {
+            let report = UpdateReport {
                 from_version: patch.from_version.clone(),
                 to_version: patch.to_version.clone(),
                 timings,
+                verification,
                 functions_replaced: m.replaces.len(),
                 functions_added: m.adds.len(),
                 functions_removed: m.removes.len(),
                 types_changed: m.type_changes.len(),
-                globals_transformed: report_core,
-                patch_bytes: patch.size_bytes(),
-                heap_before,
-                heap_after: proc.heap_size(),
-                // The runtime flips this for inverse patches; apply_patch
+                globals_transformed,
+                patch_bytes: ahead.map_or_else(|| patch.size_bytes(), |a| a.size_bytes),
+                // The runtime flips this for inverse patches; the commit
                 // itself is direction-agnostic (a downgrade is an apply).
                 rolled_back: false,
-            })
+            };
+            Ok(Committed { report, before })
         }
         Err(e) => {
-            proc.restore(snapshot);
+            proc.restore(before);
             Err(e)
         }
     }
 }
 
 /// Phases 3-5. Returns the number of globals transformed (or armed for
-/// lazy transformation).
+/// lazy transformation). What [`compat::check`] guarantees is re-checked
+/// where it is relied on: a miss is an [`UpdateError::Compat`] the caller
+/// rolls back, never a panic inside the pause.
 fn apply_linked(
     proc: &mut Process,
     patch: &Patch,
+    plan: Option<&Plan>,
     policy: UpdatePolicy,
     timings: &mut PhaseTimings,
     mut spans: Option<&mut PhaseSpanLog>,
 ) -> Result<usize, UpdateError> {
     let m = &patch.manifest;
+    let compat = UpdateError::Compat;
 
     // Phase 3: link.
     probe_phase("link");
     let t = Instant::now();
+    // Nothing staged: the patch-only half is done here, and charged here.
+    let unstaged;
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            unstaged = Plan::of(patch);
+            &unstaged
+        }
+    };
     let mut ov = LinkOverrides::default();
     // Aliases resolve to the old registrations.
     for alias in &m.type_aliases {
-        let sid = proc.struct_id(&alias.target).expect("compat checked");
+        let sid = proc.struct_id(&alias.target).ok_or_else(|| {
+            compat(format!(
+                "alias target `{}` is not a bound type",
+                alias.target
+            ))
+        })?;
         ov.types.insert(alias.alias.clone(), sid);
     }
     // Changed and new types get fresh registrations (names flip at bind).
-    let alias_names: Vec<&str> = m.type_aliases.iter().map(|a| a.alias.as_str()).collect();
-    let mut new_type_binds: Vec<(String, vm::StructId)> = Vec::new();
-    for def in &patch.module.types {
-        if alias_names.contains(&def.name.as_str()) {
-            continue;
-        }
+    let mut new_type_binds: Vec<(&str, vm::StructId)> = Vec::with_capacity(plan.new_types.len());
+    for &i in &plan.new_types {
+        let def = &patch.module.types[i];
         let sid = proc.register_struct(def.clone());
         ov.types.insert(def.name.clone(), sid);
-        new_type_binds.push((def.name.clone(), sid));
+        new_type_binds.push((&def.name, sid));
     }
     // New globals exist (with defaults) before code resolution.
-    for gname in &m.new_globals {
-        let gdef = patch.module.global(gname).expect("compat checked");
+    let mut new_globals = Vec::with_capacity(m.new_globals.len());
+    for (gname, idx) in m.new_globals.iter().zip(&plan.new_globals) {
+        let idx = idx
+            .ok_or_else(|| compat(format!("new global `{gname}` is not defined by the module")))?;
+        let gdef = &patch.module.globals[idx];
         proc.add_global(gname.clone(), gdef.ty.clone(), Value::default_for(&gdef.ty))?;
+        new_globals.push(gdef);
     }
-    let planned = proc.link_functions(&patch.module, &ov)?;
-    let planned_ids: HashMap<&str, vm::FuncId> =
-        planned.iter().map(|(n, id)| (n.as_str(), *id)).collect();
+    let planned = proc.link_planned(&patch.module, &plan.link, &ov)?;
+    // Transformers by code id: their names are unbound again below.
+    let mut transformers = Vec::with_capacity(m.transformers.len());
+    for (x, idx) in m.transformers.iter().zip(&plan.transformers) {
+        let idx = idx.ok_or_else(|| {
+            compat(format!(
+                "transformer `{}` is not defined by the module",
+                x.function
+            ))
+        })?;
+        transformers.push((x, planned[idx].1));
+    }
     timings.link = t.elapsed();
     if let Some(s) = spans.as_deref_mut() {
         s.push("link", t, timings.link);
@@ -266,8 +551,8 @@ fn apply_linked(
     for name in &m.removes {
         proc.unbind_function(name);
     }
-    for (name, sid) in &new_type_binds {
-        proc.bind_type_name(name.clone(), *sid);
+    for (name, sid) in new_type_binds {
+        proc.bind_type_name(name, sid);
     }
     timings.bind = t.elapsed();
     if let Some(s) = spans.as_deref_mut() {
@@ -279,15 +564,14 @@ fn apply_linked(
     // charge initialisation to state transformation.
     probe_phase("init");
     let t = Instant::now();
-    for gname in &m.new_globals {
-        let gdef = patch.module.global(gname).expect("compat checked");
+    for gdef in new_globals {
         let v =
             proc.eval_init(&patch.module, gdef, &ov)
                 .map_err(|trap| UpdateError::Transform {
-                    function: format!("<init {gname}>"),
+                    function: format!("<init {}>", gdef.name),
                     trap,
                 })?;
-        proc.set_global(gname, v);
+        proc.set_global(&gdef.name, v);
     }
     // An empty phase reports zero rather than bare timer overhead.
     timings.init = if m.new_globals.is_empty() {
@@ -302,14 +586,15 @@ fn apply_linked(
     // Phase 5: transform.
     probe_phase("transform");
     let t = Instant::now();
-    let transformed = match policy.transform {
+    match policy.transform {
         TransformTiming::Eager => {
             // Stage all new values against the *old* state, then commit,
             // so transformers never observe each other's output.
-            let mut staged: Vec<(&str, Value)> = Vec::with_capacity(m.transformers.len());
-            for x in &m.transformers {
-                let old = proc.global_value(&x.global).expect("compat checked");
-                let fid = planned_ids[x.function.as_str()];
+            let mut staged: Vec<(&str, Value)> = Vec::with_capacity(transformers.len());
+            for &(x, fid) in &transformers {
+                let old = proc.global_value(&x.global).ok_or_else(|| {
+                    compat(format!("transformer targets unknown global `{}`", x.global))
+                })?;
                 let new = proc
                     .call_fid(fid, vec![old])
                     .map_err(|trap| UpdateError::Transform {
@@ -318,21 +603,17 @@ fn apply_linked(
                     })?;
                 staged.push((&x.global, new));
             }
-            let n = staged.len();
             for (global, value) in staged {
                 proc.set_global(global, value);
             }
-            n
         }
         TransformTiming::Lazy => {
             // Arm the transformers; each runs on its global's first read.
-            for x in &m.transformers {
-                let fid = planned_ids[x.function.as_str()];
+            for &(x, fid) in &transformers {
                 proc.set_pending_transform(&x.global, fid);
             }
-            m.transformers.len()
         }
-    };
+    }
     // Transformers are one-shot: unbind their names so they neither
     // pollute the interface nor pin old type versions against future
     // updates (lazy mode keeps calling them through their FuncId).
@@ -349,5 +630,5 @@ fn apply_linked(
     }
 
     proc.request_update(false);
-    Ok(transformed)
+    Ok(transformers.len())
 }

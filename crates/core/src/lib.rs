@@ -9,8 +9,12 @@
 //!
 //! * [`Patch`] — new/changed code as verifiable object code plus a
 //!   [`Manifest`] of interface and state deltas;
-//! * [`apply_patch`] — the update pipeline: verify → compatibility check →
-//!   link → atomic bind → state transformation, with rollback on failure;
+//! * [`stage`] / [`commit`] — the update pipeline in two steps: the patch
+//!   is verified ahead of time where it is enqueued (the definitions the
+//!   verifier consulted kept as a [`Certificate`]), then at the update
+//!   point: certificate check (or full verification) → compatibility
+//!   check → link → atomic bind → state transformation, with rollback on
+//!   failure. [`apply_patch`] is the commit step with nothing staged;
 //! * [`compat`] — the update-safety analysis that keeps a *running*
 //!   program type-safe across the update (signature-change, removal and
 //!   type-change rules, including against active stack frames);
@@ -58,7 +62,8 @@ pub mod rollback;
 pub mod runtime;
 
 pub use apply::{
-    apply_patch, apply_patch_spanned, set_phase_probe, PhaseSpanLog, TransformTiming, UpdatePolicy,
+    apply_patch, commit, set_phase_probe, stage, Certificate, StagedPatch, TransformTiming,
+    UpdatePolicy,
 };
 pub use iface::interface_of;
 pub use patch::{compile_patch, Manifest, Patch, Transformer, TypeAlias};
@@ -67,7 +72,9 @@ pub use patchgen::{
     interface_of_module, DiffStats, GeneratedPatch, ManualTransformer, PatchGen, PatchGenError,
     ALIAS_SUFFIX,
 };
-pub use report::{FailedUpdate, FleetUpdateReport, PhaseTimings, UpdateError, UpdateReport};
+pub use report::{
+    FailedUpdate, FleetUpdateReport, PhaseTimings, UpdateError, UpdateReport, Verification,
+};
 pub use rollback::{SnapshotEntry, SnapshotRing, DEFAULT_SNAPSHOT_DEPTH};
 pub use runtime::{
     decode_worker_state, DrainHook, Gate, PauseEvent, PauseLog, RunError, Updater, UpdaterRemote,
@@ -717,11 +724,12 @@ mod tests {
         dsu_obs::journal::validate_lifecycle(&events).unwrap();
         let last = events.last().unwrap();
         assert_eq!(last.stage, dsu_obs::Stage::RolledBack);
+        // The seven in-pause phases: `staged` is outside the sum.
         let phase_sum: std::time::Duration = events
             .iter()
+            .filter(|e| dsu_obs::Stage::PHASES.contains(&e.stage))
             .filter_map(|e| e.dur)
-            .sum::<std::time::Duration>()
-            - last.dur.unwrap();
+            .sum();
         assert_eq!(phase_sum, rb.timings.total());
     }
 

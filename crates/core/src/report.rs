@@ -5,19 +5,32 @@ use std::fmt;
 use std::time::Duration;
 
 /// Wall-clock cost breakdown of one applied update — the quantity the
-/// paper's patch-application experiment (Table 2) reports.
+/// paper's patch-application experiment (Table 2) reports. Seven buckets
+/// are spent inside the update pause and sum to [`PhaseTimings::total`];
+/// `staged` was spent ahead of it, with the guest running.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
+    /// Time the stage step took ([`crate::stage`]: ahead-of-time
+    /// verification plus the patch-only half of link) on the enqueuing
+    /// thread, before the pause — **not part of [`PhaseTimings::total`]**.
+    /// Charged to the first lifecycle that enqueues the staged patch: a
+    /// fleet rollout stages once, so one worker's report carries it and
+    /// the rest read zero, as does anything committed with nothing staged.
+    pub staged: Duration,
     /// Time spent in the host's drain hook before the patch touched the
     /// process: a host whose in-flight work holds guest state waits for
     /// it there. Zero for hosts without a hook; FlashEd's hook carries
     /// injected pause faults only, so it reads ≈ 0 unless one is armed.
     pub drain: Duration,
-    /// Bytecode re-verification of the patch module.
+    /// The certificate check — every type definition the staged
+    /// verification consulted is still bound, `==` — or, when the
+    /// certificate is stale or absent, full bytecode verification of the
+    /// patch module ([`UpdateReport::verification`] says which).
     pub verify: Duration,
     /// Interface-compatibility / update-safety analysis.
     pub compat: Duration,
-    /// Dynamic linking (type registration, code resolution, new globals).
+    /// Dynamic linking (type registration, code resolution, new globals):
+    /// the per-process half when the patch was staged, all of it otherwise.
     pub link: Duration,
     /// Atomic rebinding of names, slots and types.
     pub bind: Duration,
@@ -29,9 +42,46 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Total update pause.
+    /// Total update pause: the seven in-pause buckets. `staged` is
+    /// excluded — the guest was running.
     pub fn total(&self) -> Duration {
         self.drain + self.verify + self.compat + self.link + self.bind + self.init + self.transform
+    }
+}
+
+/// How the verify phase of one commit was discharged (the journal's
+/// `verify` event carries the same text as its detail).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verification {
+    /// Nothing was verified: `UpdatePolicy::verify` is off, or the update
+    /// was a snapshot restore (no code enters the process).
+    Skipped,
+    /// The staged certificate held against the process: no verification
+    /// ran inside the pause.
+    CertificateHeld,
+    /// The staged certificate was stale — the process binds `changed`
+    /// (the first consulted name to differ) to another definition than the
+    /// one staging saw — so the patch was verified in full, in the pause.
+    Reverified {
+        /// The first consulted type name whose binding differs.
+        changed: String,
+    },
+    /// Nothing certified came with the patch (a direct `apply_patch`, a
+    /// patch reloaded from a state blob, a stage whose verification
+    /// failed): it was verified in full, in the pause.
+    NoCertificate,
+}
+
+impl fmt::Display for Verification {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Verification::Skipped => write!(f, "skipped"),
+            Verification::CertificateHeld => write!(f, "certificate held"),
+            Verification::Reverified { changed } => {
+                write!(f, "re-verified: type {changed} changed since staging")
+            }
+            Verification::NoCertificate => write!(f, "no certificate"),
+        }
     }
 }
 
@@ -44,6 +94,9 @@ pub struct UpdateReport {
     pub to_version: String,
     /// Per-phase wall-clock costs.
     pub timings: PhaseTimings,
+    /// Whether the pause re-checked a staged certificate or verified in
+    /// full.
+    pub verification: Verification,
     /// Functions rebound by the update.
     pub functions_replaced: usize,
     /// Functions added.
@@ -56,10 +109,6 @@ pub struct UpdateReport {
     pub globals_transformed: usize,
     /// Patch size in (virtual) bytes.
     pub patch_bytes: usize,
-    /// Guest heap footprint (bytes) before the update.
-    pub heap_before: usize,
-    /// Guest heap footprint (bytes) after the update.
-    pub heap_after: usize,
     /// Whether this apply was a *rollback* — an inverse patch (reverse
     /// state transformers) or a snapshot restore taking the process back
     /// to `to_version`, which it ran before. Rollback lifecycles close
@@ -71,19 +120,21 @@ impl fmt::Display for UpdateReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}{} -> {}: {:?} total (drain {:?}, verify {:?}, compat {:?}, link {:?}, bind {:?}, init {:?}, xform {:?}); \
-             {} replaced, {} added, {} removed, {} types, {} transformed",
+            "{}{} -> {}: {:?} total (drain {:?}, verify {:?} [{}], compat {:?}, link {:?}, bind {:?}, init {:?}, xform {:?}; \
+             staged {:?} ahead); {} replaced, {} added, {} removed, {} types, {} transformed",
             if self.rolled_back { "rollback " } else { "" },
             self.from_version,
             self.to_version,
             self.timings.total(),
             self.timings.drain,
             self.timings.verify,
+            self.verification,
             self.timings.compat,
             self.timings.link,
             self.timings.bind,
             self.timings.init,
             self.timings.transform,
+            self.timings.staged,
             self.functions_replaced,
             self.functions_added,
             self.functions_removed,
@@ -138,6 +189,7 @@ impl FleetUpdateReport {
     pub fn phase_totals(&self) -> PhaseTimings {
         let mut acc = PhaseTimings::default();
         for (_, r) in &self.applied {
+            acc.staged += r.timings.staged;
             acc.drain += r.timings.drain;
             acc.verify += r.timings.verify;
             acc.compat += r.timings.compat;
@@ -156,12 +208,14 @@ impl fmt::Display for FleetUpdateReport {
         write!(
             f,
             "fleet rollout: {}/{} applied, {} failed; pause max {:?} mean {:?}; \
+             staged ahead {:?}; \
              phases (summed): drain {:?}, verify {:?}, compat {:?}, link {:?}, bind {:?}, init {:?}, xform {:?}",
             self.applied.len(),
             self.workers,
             self.failed.len(),
             self.max_pause(),
             self.mean_pause(),
+            totals.staged,
             totals.drain,
             totals.verify,
             totals.compat,
@@ -298,6 +352,8 @@ mod tests {
     #[test]
     fn totals_sum_phases() {
         let t = PhaseTimings {
+            // Spent ahead of the pause: not in the total.
+            staged: Duration::from_millis(100),
             drain: Duration::from_millis(7),
             verify: Duration::from_millis(1),
             compat: Duration::from_millis(2),

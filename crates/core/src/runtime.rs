@@ -7,6 +7,12 @@
 //! under old code, everything else under the new version. This is exactly
 //! the paper's programmer-chosen update-point model.
 //!
+//! Patches are *staged* where they are enqueued ([`crate::stage`]:
+//! verified ahead of time, on the enqueuing thread, while the guest runs)
+//! and *committed* at the update point, where the pause only re-checks
+//! the stage's certificate. No staging happens inside
+//! [`Updater::apply_pending`].
+//!
 //! The patch queue, apply log and failure log live behind shared handles:
 //! an [`UpdaterRemote`] lets *another thread* (a fleet coordinator) feed
 //! patches to a process it does not own, arm the process's update signal,
@@ -16,18 +22,19 @@
 //! runs, the report or failure, the dropped in-flight count and the
 //! pause event of the apply that woke it are all already visible.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dsu_obs::trace::{Span, SpanKind};
 use dsu_obs::{Journal, Stage, Tracer};
-use vm::{Outcome, Process, Trap, UpdateSignal, Value};
+use tal::TypeDef;
+use vm::{Outcome, Process, ProcessTypes, Trap, UpdateSignal, Value};
 
-use crate::apply::{apply_patch_spanned, PhaseSpanLog, UpdatePolicy};
+use crate::apply::{stage, Committed, PhaseSpanLog, StagedPatch, UpdatePolicy};
 use crate::patch::Patch;
-use crate::report::{FailedUpdate, PhaseTimings, UpdateError, UpdateReport};
+use crate::report::{FailedUpdate, PhaseTimings, UpdateError, UpdateReport, Verification};
 use crate::rollback::SnapshotRing;
 
 /// One update pause: the guest suspended (or sat quiescent) while queued
@@ -143,20 +150,32 @@ struct SpanCtx {
     head_used: bool,
 }
 
+/// The type definitions a process binds, by name, as a `Send` value a
+/// coordinator can stage against (see [`UpdaterRemote::stage`]). `None`
+/// until [`Updater::remote`] seeds it: an updater nobody drives remotely
+/// publishes nothing.
+type BoundTypes = Mutex<Option<Arc<BTreeMap<String, TypeDef>>>>;
+
 /// A queued update operation, tagged with its journal lifecycle id
 /// (0 when no journal is attached).
 struct QueuedOp {
     update: u64,
     kind: OpKind,
+    /// The stage cost this lifecycle claimed at enqueue (zero when the
+    /// patch came unstaged, or another lifecycle already paid for it).
+    stage_cost: Duration,
 }
 
 /// What a queued operation does when the pause drains it.
 enum OpKind {
-    /// Apply `patch`. `rollback` marks an *inverse* patch — a downgrade
+    /// Commit `staged`. `rollback` marks an *inverse* patch — a downgrade
     /// whose reverse state transformers take the process back to a prior
     /// version while preserving current guest state; its lifecycle closes
     /// with `RolledBack` instead of `Committed`.
-    Apply { patch: Box<Patch>, rollback: bool },
+    Apply {
+        staged: Arc<StagedPatch>,
+        rollback: bool,
+    },
     /// Pop the snapshot ring and restore its top entry (best-effort state:
     /// guest mutations made after the forward apply are lost). The
     /// versions are resolved from the ring at enqueue time for the
@@ -168,14 +187,14 @@ enum OpKind {
 impl QueuedOp {
     fn version_from(&self) -> &str {
         match &self.kind {
-            OpKind::Apply { patch, .. } => &patch.from_version,
+            OpKind::Apply { staged, .. } => &staged.patch().from_version,
             OpKind::Restore { from, .. } => from,
         }
     }
 
     fn version_to(&self) -> &str {
         match &self.kind {
-            OpKind::Apply { patch, .. } => &patch.to_version,
+            OpKind::Apply { staged, .. } => &staged.patch().to_version,
             OpKind::Restore { to, .. } => to,
         }
     }
@@ -240,13 +259,20 @@ pub struct Updater {
     /// sync on every ring mutation and shared with remotes so a
     /// coordinator can see what a snapshot rollback would undo.
     transitions: Arc<Mutex<Vec<(String, String)>>>,
+    /// Send-safe mirror of the process's bound type definitions, shared
+    /// with remotes so a coordinator can stage a patch against them:
+    /// seeded by [`Updater::remote`], refreshed before the outcome publish
+    /// by any pause that changed a type binding. Advisory only — commit
+    /// checks the certificate against the process itself, so a mirror
+    /// that lags costs a re-verification, never safety.
+    bound_types: Arc<BoundTypes>,
     /// Net forward patch path from the boot version to the current
     /// version: every successful forward apply pushes its patch, every
     /// successful rollback (inverse patch or snapshot restore) pops the
     /// hop it undoes. Unlike the bounded snapshot ring this is the whole
     /// path, so a supervisor can rebuild a crashed worker from source by
     /// replaying it (see [`Updater::save_worker_state`]).
-    chain: Vec<Patch>,
+    chain: Vec<Arc<StagedPatch>>,
     /// Lifecycle-event destination, shared with remotes (None = tracing
     /// off, the default — enqueues and applies cost nothing extra).
     trace: Arc<Mutex<Option<Trace>>>,
@@ -334,17 +360,24 @@ impl Updater {
             .map(|t| t.journal.clone())
     }
 
-    /// Queues a patch and arms the process's update request so the next
-    /// executed update point suspends.
+    /// Stages `patch` against `proc`'s bound types — here, in the call,
+    /// on the caller's thread ([`crate::stage`]) — then queues it and arms
+    /// the process's update request so the next executed update point
+    /// suspends and commits it.
     pub fn enqueue(&mut self, proc: &mut Process, patch: Patch) {
-        enqueue_traced(
-            &self.pending,
-            &self.trace,
-            OpKind::Apply {
-                patch: Box::new(patch),
-                rollback: false,
-            },
-        );
+        let staged = stage(patch, &ProcessTypes(proc), self.policy);
+        self.enqueue_staged(proc, staged);
+    }
+
+    /// Queues a patch that was staged already (see [`crate::stage`];
+    /// one staged value can be enqueued on any number of processes) and
+    /// arms the process's update request.
+    pub fn enqueue_staged(&mut self, proc: &mut Process, staged: Arc<StagedPatch>) {
+        let kind = OpKind::Apply {
+            staged,
+            rollback: false,
+        };
+        enqueue_traced(&self.pending, &self.trace, kind);
         proc.request_update(true);
     }
 
@@ -352,16 +385,14 @@ impl Updater {
     /// versions the other way round (see [`crate::PatchGen`]) whose
     /// reverse state transformers preserve current guest state. The
     /// resulting report is marked [`UpdateReport::rolled_back`] and its
-    /// journal lifecycle closes with `RolledBack`.
+    /// journal lifecycle closes with `RolledBack`. Staged in the call,
+    /// like [`Updater::enqueue`].
     pub fn enqueue_rollback(&mut self, proc: &mut Process, patch: Patch) {
-        enqueue_traced(
-            &self.pending,
-            &self.trace,
-            OpKind::Apply {
-                patch: Box::new(patch),
-                rollback: true,
-            },
-        );
+        let kind = OpKind::Apply {
+            staged: stage(patch, &ProcessTypes(proc), self.policy),
+            rollback: true,
+        };
+        enqueue_traced(&self.pending, &self.trace, kind);
         proc.request_update(true);
     }
 
@@ -413,6 +444,7 @@ impl Updater {
     /// and every still-pending operation — as a text block. Together with
     /// a write-ahead journal this lets a restarted worker resume exactly
     /// where the old one stopped: restore the ring, re-queue the ops.
+    /// Patches are saved bare: what was staged for them is not persisted.
     pub fn save_state(&self) -> String {
         let mut out = String::from("dsu-updater-state 1\n");
         let ring_text = self.snapshots.lock().expect("poisoned").save();
@@ -423,8 +455,8 @@ impl Updater {
                 OpKind::Restore { from, to } => {
                     out.push_str(&format!("op-restore\t{from}\t{to}\n"));
                 }
-                OpKind::Apply { patch, rollback } => {
-                    let text = crate::patch_io::save_patch(patch);
+                OpKind::Apply { staged, rollback } => {
+                    let text = crate::patch_io::save_patch(staged.patch());
                     out.push_str(&format!(
                         "op-apply {} {}\n",
                         u8::from(*rollback),
@@ -443,7 +475,8 @@ impl Updater {
     /// Restores state saved by [`Updater::save_state`]: replaces the
     /// snapshot ring and re-queues the pending operations (each gets a
     /// fresh journal lifecycle — the old incarnation's lifecycles belong
-    /// to the old journal stream). Arms the process's update request when
+    /// to the old journal stream; patches come back unstaged, so their
+    /// commits verify in full). Arms the process's update request when
     /// any operation was re-queued. Returns the number of re-queued ops.
     ///
     /// # Errors
@@ -498,7 +531,7 @@ impl Updater {
                 rest = &rest[len..];
                 rest = rest.strip_prefix('\n').unwrap_or(rest);
                 ops.push(OpKind::Apply {
-                    patch: Box::new(patch),
+                    staged: Arc::new(StagedPatch::unstaged(patch)),
                     rollback,
                 });
             } else {
@@ -524,6 +557,7 @@ impl Updater {
     pub fn chain_transitions(&self) -> Vec<(String, String)> {
         self.chain
             .iter()
+            .map(|s| s.patch())
             .map(|p| (p.from_version.clone(), p.to_version.clone()))
             .collect()
     }
@@ -538,8 +572,8 @@ impl Updater {
     pub fn save_worker_state(&self) -> String {
         let mut out = String::from("dsu-worker-state 1\n");
         out.push_str(&format!("chain {}\n", self.chain.len()));
-        for p in &self.chain {
-            let text = crate::patch_io::save_patch(p);
+        for s in &self.chain {
+            let text = crate::patch_io::save_patch(s.patch());
             out.push_str(&format!("patch {}\n", text.len()));
             out.push_str(&text);
             if !text.ends_with('\n') {
@@ -587,7 +621,10 @@ impl Updater {
     /// A cross-thread control handle for this updater driving `proc`: feed
     /// patches, arm the update signal, set rollout gates, read results.
     pub fn remote(&self, proc: &Process) -> UpdaterRemote {
+        *self.bound_types.lock().expect("poisoned") = Some(Arc::new(bound_types(proc)));
         UpdaterRemote {
+            policy: self.policy,
+            bound_types: Arc::clone(&self.bound_types),
             pending: Arc::clone(&self.pending),
             in_flight: Arc::clone(&self.in_flight),
             outcomes: Arc::clone(&self.outcomes),
@@ -689,6 +726,7 @@ impl Updater {
             }
         }
         let result = self.drain(proc, drain_dur, began, gate_span, &mut span_ctx);
+        self.publish_bound_types(proc);
         self.pauses.lock().expect("poisoned").push(PauseEvent {
             at: began,
             dur: began.elapsed(),
@@ -698,6 +736,23 @@ impl Updater {
         // a woken waiter finds all of it.
         self.outcomes.publish();
         result
+    }
+
+    /// Refreshes the remotes' view of the bound types when this pause
+    /// changed one (a patch that bound a type name, a restore that took
+    /// one back). Compares before it copies: the usual pause changes none.
+    fn publish_bound_types(&self, proc: &Process) {
+        let mut published = self.bound_types.lock().expect("poisoned");
+        let Some(view) = published.as_ref() else {
+            return;
+        };
+        let unchanged = proc.type_bindings().count() == view.len()
+            && proc
+                .type_bindings()
+                .all(|(name, id)| view.get(name) == Some(proc.struct_def(id)));
+        if !unchanged {
+            *published = Some(Arc::new(bound_types(proc)));
+        }
     }
 
     fn drain(
@@ -723,32 +778,24 @@ impl Updater {
             let mut phase_log = span_ctx.as_ref().map(|_| PhaseSpanLog::default());
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &queued.kind {
-                    OpKind::Apply { patch, rollback } => {
-                        // The pre-update snapshot feeding the rollback ring.
-                        // Forward applies record it on success; rollbacks
-                        // retire the entry they undo instead.
-                        let ring_snap = if *rollback {
-                            None
-                        } else {
-                            let depth = self.snapshots.lock().expect("poisoned").depth();
-                            (depth > 0).then(|| proc.snapshot())
-                        };
-                        match apply_patch_spanned(proc, patch, self.policy, phase_log.as_mut()) {
-                            Ok(mut report) => {
-                                report.rolled_back = *rollback;
-                                let mut ring = self.snapshots.lock().expect("poisoned");
-                                match ring_snap {
-                                    Some(snap) => {
-                                        ring.push(&patch.from_version, &patch.to_version, snap);
-                                    }
-                                    None => ring.retire_undone(&patch.from_version),
-                                }
-                                *self.transitions.lock().expect("poisoned") = ring.transitions();
-                                Ok(report)
+                    OpKind::Apply { staged, rollback } => staged
+                        .commit_spanned(proc, self.policy, phase_log.as_mut())
+                        .map(|Committed { mut report, before }| {
+                            report.rolled_back = *rollback;
+                            // The commit's own pre-update snapshot feeds
+                            // the rollback ring (a depth-0 ring drops it):
+                            // forward applies record it, rollbacks retire
+                            // the entry they undo instead.
+                            let patch = staged.patch();
+                            let mut ring = self.snapshots.lock().expect("poisoned");
+                            if *rollback {
+                                ring.retire_undone(&patch.from_version);
+                            } else {
+                                ring.push(&patch.from_version, &patch.to_version, before);
                             }
-                            Err(e) => Err(e),
-                        }
-                    }
+                            *self.transitions.lock().expect("poisoned") = ring.transitions();
+                            report
+                        }),
                     OpKind::Restore { .. } => {
                         // A snapshot restore is pure rebinding: the whole
                         // pause is charged to `bind`, the atomic-flip phase.
@@ -762,7 +809,6 @@ impl Updater {
                         match entry {
                             None => Err(UpdateError::NoSnapshot),
                             Some(entry) => {
-                                let heap_before = proc.heap_size();
                                 proc.restore(entry.snapshot);
                                 let timings = PhaseTimings {
                                     bind: t.elapsed(),
@@ -775,14 +821,13 @@ impl Updater {
                                     from_version: entry.to_version,
                                     to_version: entry.from_version,
                                     timings,
+                                    verification: Verification::Skipped,
                                     functions_replaced: 0,
                                     functions_added: 0,
                                     functions_removed: 0,
                                     types_changed: 0,
                                     globals_transformed: 0,
                                     patch_bytes: 0,
-                                    heap_before,
-                                    heap_after: proc.heap_size(),
                                     rolled_back: true,
                                 })
                             }
@@ -818,6 +863,7 @@ impl Updater {
                     // The quiescence wait is charged once, to the first
                     // patch this pause applies.
                     report.timings.drain += std::mem::take(&mut drain_dur);
+                    report.timings.staged = queued.stage_cost;
                     self.record_chain_hop(queued.kind, &report);
                     let link = span_ctx.as_mut().map(|ctx| {
                         record_update_spans(
@@ -864,14 +910,15 @@ impl Updater {
     /// pop the hop they undo when it is the chain tip.
     fn record_chain_hop(&mut self, kind: OpKind, report: &UpdateReport) {
         if report.rolled_back {
-            let undoes_tip = self.chain.last().is_some_and(|p| {
+            let undoes_tip = self.chain.last().is_some_and(|s| {
+                let p = s.patch();
                 p.to_version == report.from_version && p.from_version == report.to_version
             });
             if undoes_tip {
                 self.chain.pop();
             }
-        } else if let OpKind::Apply { patch, .. } = kind {
-            self.chain.push(*patch);
+        } else if let OpKind::Apply { staged, .. } = kind {
+            self.chain.push(staged);
         }
     }
 
@@ -985,26 +1032,42 @@ pub fn decode_worker_state(text: &str) -> Result<(Vec<Patch>, String), String> {
     Ok((chain, rest[..len].to_string()))
 }
 
+/// The type definitions `proc` binds right now, by name.
+fn bound_types(proc: &Process) -> BTreeMap<String, TypeDef> {
+    proc.type_bindings()
+        .map(|(name, id)| (name.to_string(), proc.struct_def(id).clone()))
+        .collect()
+}
+
 /// Queues an operation, assigning it a journal lifecycle id and emitting
 /// the `Enqueued` event when tracing is on (shared by [`Updater::enqueue`]
-/// and [`UpdaterRemote::enqueue`] and their rollback variants).
+/// and [`UpdaterRemote::enqueue`] and their rollback variants). A staged
+/// patch whose stage cost nobody has claimed yet is claimed by this
+/// lifecycle: `Staged` follows `Enqueued`, carrying the duration the
+/// report's `timings.staged` will.
 fn enqueue_traced(pending: &Mutex<VecDeque<QueuedOp>>, trace: &Mutex<Option<Trace>>, kind: OpKind) {
     let t = trace.lock().expect("poisoned").clone();
     let update = match &t {
         Some(t) => t.journal.next_update_id(),
         None => 0,
     };
-    let queued = QueuedOp { update, kind };
+    let stage_cost = match &kind {
+        OpKind::Apply { staged, .. } => staged.claim_cost(),
+        OpKind::Restore { .. } => None,
+    };
+    let queued = QueuedOp {
+        update,
+        kind,
+        stage_cost: stage_cost.unwrap_or_default(),
+    };
     if let Some(t) = &t {
-        t.journal.record(
-            t.worker,
-            update,
-            queued.version_from(),
-            queued.version_to(),
-            Stage::Enqueued,
-            None,
-            None,
-        );
+        let (from, to) = (queued.version_from(), queued.version_to());
+        t.journal
+            .record(t.worker, update, from, to, Stage::Enqueued, None, None);
+        if stage_cost.is_some() {
+            t.journal
+                .record(t.worker, update, from, to, Stage::Staged, stage_cost, None);
+        }
     }
     pending.lock().expect("poisoned").push_back(queued);
 }
@@ -1161,7 +1224,8 @@ fn record_update_spans(
 
 /// Emits the seven phase events (durations copied verbatim from the
 /// report's [`crate::PhaseTimings`], so journal sums equal
-/// `timings.total()` exactly) followed by the terminal stage —
+/// `timings.total()` exactly; `verify` also says how verification was
+/// discharged) followed by the terminal stage —
 /// `Committed`, or `RolledBack` for a downgrade, either way carrying the
 /// pipeline total. `link` is the update root span's `(trace, span)`,
 /// attached to every event when span tracing is on.
@@ -1176,6 +1240,10 @@ fn emit_applied(t: &Trace, update: u64, report: &UpdateReport, link: Option<(u64
         (Stage::Init, ts.init),
         (Stage::Transform, ts.transform),
     ];
+    let verification = match &report.verification {
+        Verification::Skipped => None,
+        v => Some(v.to_string()),
+    };
     for (stage, dur) in phases {
         t.journal.record_spanned(
             t.worker,
@@ -1184,7 +1252,7 @@ fn emit_applied(t: &Trace, update: u64, report: &UpdateReport, link: Option<(u64
             &report.to_version,
             stage,
             Some(dur),
-            None,
+            verification.as_deref().filter(|_| stage == Stage::Verify),
             link,
         );
     }
@@ -1225,6 +1293,9 @@ fn emit_aborted(t: &Trace, queued: &QueuedOp, error: &UpdateError) {
 /// the shared logs as the worker applies.
 #[derive(Clone)]
 pub struct UpdaterRemote {
+    /// The worker's update policy (fixed when its updater was built).
+    policy: UpdatePolicy,
+    bound_types: Arc<BoundTypes>,
     pending: Arc<Mutex<VecDeque<QueuedOp>>>,
     in_flight: Arc<AtomicUsize>,
     outcomes: Arc<OutcomeSignal>,
@@ -1249,34 +1320,54 @@ impl std::fmt::Debug for UpdaterRemote {
 }
 
 impl UpdaterRemote {
-    /// Queues a patch and arms the worker's update signal: the guest
-    /// suspends and applies at its next executed update point (or the
-    /// worker applies at its next quiescent boundary).
+    /// The stage step ([`crate::stage`]) for this worker, run here on the
+    /// caller's thread while the worker serves: verifies `patch` against
+    /// the type definitions the worker published at its last
+    /// type-changing pause, under the worker's policy. The result can be
+    /// enqueued on this worker and on every replica of it
+    /// ([`UpdaterRemote::enqueue_staged`]) — its certificate is checked
+    /// by content at each one's update point, so a replica that binds
+    /// other definitions simply verifies for itself.
+    pub fn stage(&self, patch: Patch) -> Arc<StagedPatch> {
+        // Clone the view out: verification must not hold the lock a
+        // finishing pause takes to refresh it.
+        let types = self.bound_types.lock().expect("poisoned").clone();
+        stage(patch, &*types.unwrap_or_default(), self.policy)
+    }
+
+    /// Stages `patch` for this worker — here, in the call, on the
+    /// caller's thread ([`UpdaterRemote::stage`]) — then queues it and
+    /// arms the worker's update signal: the guest suspends and commits at
+    /// its next executed update point (or the worker commits at its next
+    /// quiescent boundary).
     pub fn enqueue(&self, patch: Patch) {
-        enqueue_traced(
-            &self.pending,
-            &self.trace,
-            OpKind::Apply {
-                patch: Box::new(patch),
-                rollback: false,
-            },
-        );
+        self.enqueue_staged(self.stage(patch));
+    }
+
+    /// Queues a patch staged already — by [`UpdaterRemote::stage`] on
+    /// this or any other worker's handle — and arms the update signal.
+    /// Staging once and enqueueing the same value fleet-wide is how a
+    /// rollout pays for one verification, not one per worker.
+    pub fn enqueue_staged(&self, staged: Arc<StagedPatch>) {
+        let kind = OpKind::Apply {
+            staged,
+            rollback: false,
+        };
+        enqueue_traced(&self.pending, &self.trace, kind);
         self.signal.arm();
     }
 
     /// Queues an *inverse* patch on the worker: a downgrade whose reverse
     /// state transformers preserve current guest state. The report comes
     /// back marked [`UpdateReport::rolled_back`] and the lifecycle closes
-    /// with `RolledBack` (see [`Updater::enqueue_rollback`]).
+    /// with `RolledBack` (see [`Updater::enqueue_rollback`]). Staged in
+    /// the call, like [`UpdaterRemote::enqueue`].
     pub fn enqueue_rollback(&self, patch: Patch) {
-        enqueue_traced(
-            &self.pending,
-            &self.trace,
-            OpKind::Apply {
-                patch: Box::new(patch),
-                rollback: true,
-            },
-        );
+        let kind = OpKind::Apply {
+            staged: self.stage(patch),
+            rollback: true,
+        };
+        enqueue_traced(&self.pending, &self.trace, kind);
         self.signal.arm();
     }
 

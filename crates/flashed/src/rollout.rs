@@ -15,6 +15,12 @@
 //! * [`RolloutPlan::guarded`] — one cohort per worker, canary first,
 //!   gated.
 //!
+//! A rollout *stages* its patch once, on the coordinator, while every
+//! worker serves ([`dsu_core::UpdaterRemote::stage`], against the first
+//! target's published types), and hands each member the same staged
+//! value: a worker's update pause re-checks the stage's certificate and
+//! verifies for itself only when its types differ.
+//!
 //! Each member is awaited by one park on its enqueue handle (see
 //! [`fleet`](crate::fleet)): a step's health window closes the moment
 //! its pause does, so completion liveness is judged on evidence
@@ -44,7 +50,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dsu_core::{FleetUpdateReport, Patch, UpdateReport};
+use dsu_core::{FleetUpdateReport, Patch, StagedPatch, UpdateReport, UpdaterRemote};
 use dsu_obs::{Journal, Stage};
 
 use crate::fleet::{baseline, Fleet, FleetError};
@@ -563,6 +569,7 @@ impl<'a> Orchestrator<'a> {
         let mut run = Run {
             orch: self,
             patch,
+            staged: None,
             plan,
             gate: plan.gate.map(|slo| {
                 let mut g = HealthGate::new(slo);
@@ -693,6 +700,11 @@ impl<'a> Orchestrator<'a> {
 struct Run<'o, 'a> {
     orch: &'o Orchestrator<'a>,
     patch: &'o Patch,
+    /// `patch`, staged once per rollout — at the first enqueue, against
+    /// the first target's types, here on the coordinator while the fleet
+    /// serves. Every member is handed this one value and its pause checks
+    /// the certificate against its own types.
+    staged: Option<Arc<StagedPatch>>,
     plan: &'o RolloutPlan,
     gate: Option<HealthGate>,
     baselines: Vec<Vec<(usize, usize, usize)>>,
@@ -852,6 +864,15 @@ impl Run<'_, '_> {
         }
     }
 
+    /// The rollout's patch as every member gets it: staged on first use,
+    /// through `remote`, and the same value from then on.
+    fn staged_on(&mut self, remote: &UpdaterRemote) -> Arc<StagedPatch> {
+        let staged = self
+            .staged
+            .get_or_insert_with(|| remote.stage(self.patch.clone()));
+        Arc::clone(staged)
+    }
+
     /// Drives one cohort: barrier gates first (a fast worker must find
     /// its rendezvous installed when it pauses), then every member's
     /// patch enqueued, then each awaited and judged in cohort order. The
@@ -893,7 +914,7 @@ impl Run<'_, '_> {
             // replacement's.
             epochs.push(orch.fleets[fi].workers()[li].epoch());
             let remote = orch.fleets[fi].workers()[li].remote();
-            remote.enqueue(self.patch.clone());
+            remote.enqueue_staged(self.staged_on(&remote));
             remotes.push(remote);
         }
         let mut breach: Option<HealthBreach> = None;
@@ -932,7 +953,7 @@ impl Run<'_, '_> {
                             // already — nothing left to drive.
                             break false;
                         }
-                        remote.enqueue(self.patch.clone());
+                        remote.enqueue_staged(self.staged_on(remote));
                     }
                     Err(FleetError::WorkerDown { .. }) => {
                         down = true;

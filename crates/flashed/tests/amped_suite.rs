@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use dsu_obs::journal::validate_lifecycle;
+use dsu_obs::journal::{validate_lifecycle, Stage};
 use flashed::{
     parse_response, versions, EventLoopConfig, FaultPlan, Fleet, FleetConfig, Response,
     RolloutPlan, ServeMode, Server, ServerConfig, ServerTelemetry, SimFs, WorkerOverride, Workload,
@@ -170,8 +170,12 @@ fn update_mid_loop_leaves_parked_reads_in_flight() {
     // Journal agrees with the report to the nanosecond.
     let events = tel.journal().events_for(1);
     validate_lifecycle(&events).unwrap();
-    let phase_sum: Duration =
-        events.iter().filter_map(|e| e.dur).sum::<Duration>() - events.last().unwrap().dur.unwrap(); // committed carries the total
+    // (The seven in-pause phases: `staged` happened before the pause.)
+    let phase_sum: Duration = events
+        .iter()
+        .filter(|e| Stage::PHASES.contains(&e.stage))
+        .filter_map(|e| e.dur)
+        .sum();
     assert_eq!(phase_sum, report.timings.total());
     assert_eq!(events.last().unwrap().dur, Some(report.timings.total()));
 

@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use dsu_core::UpdaterRemote;
+use dsu_core::{PatchGen, UpdateError, UpdaterRemote};
+use dsu_obs::journal::{validate_lifecycle, Event, Stage};
 use flashed::{
     patch_stream, versions, BreachAction, EdgeConfig, Fleet, FleetConfig, PauseSlo, RolloutOutcome,
     RolloutPlan, RoutePolicy, SimFs, Workload,
@@ -350,5 +351,89 @@ fn a_four_hop_chain_rollback_cards_every_pause() {
         .iter()
         .all(|p| *p > Duration::ZERO));
     fleet.drain(90).unwrap();
+    fleet.shutdown().unwrap();
+}
+
+/// A rollout verifies once, on the coordinator: a 2-worker rolling hop
+/// journals one `staged` and two commits whose pause only checked the
+/// certificate. The check is by content, per worker: a replica whose
+/// types differ — walked one hop further by hand — finds the certificate
+/// stale, verifies for itself, and rejects the patch in phase `verify`
+/// exactly as it did when every pause verified.
+#[test]
+fn a_rollout_stages_once_and_every_pause_checks_the_certificate() {
+    let (fs, _) = fixture();
+    let cfg = FleetConfig::new(2).with_telemetry();
+    let fleet = Fleet::start_cfg(&cfg, &versions::v1(), "v1", &fs).unwrap();
+    let journal = fleet.telemetry().unwrap().journal().clone();
+    let stream = patch_stream().unwrap();
+
+    let held = |events: &[Event]| {
+        let detail = |e: &&Event| e.detail.as_deref() == Some("certificate held");
+        events
+            .iter()
+            .filter(|e| e.stage == Stage::Verify)
+            .filter(detail)
+            .count()
+    };
+    let staged = |events: &[Event]| events.iter().filter(|e| e.stage == Stage::Staged).count();
+    for (hop, gen) in stream[..2].iter().enumerate() {
+        let report = fleet
+            .rollout_plan(&gen.patch, &RolloutPlan::rolling())
+            .unwrap();
+        assert!(report.fleet_report.complete(), "{}", report.fleet_report);
+        let events = journal.events();
+        assert_eq!(staged(&events), hop + 1, "one stage per rollout");
+        assert_eq!(held(&events), 2 * (hop + 1), "no pause verified in full");
+        // The stage is charged once: to the first member's report.
+        let paid: Vec<bool> = report
+            .fleet_report
+            .applied
+            .iter()
+            .map(|(_, r)| r.timings.staged > Duration::ZERO)
+            .collect();
+        assert_eq!(paid, [true, false]);
+    }
+    assert_eq!(fleet.live_versions(), ["v3", "v3"]);
+
+    // Worker 1 goes on to v4 alone: its `cache_entry` gains a field.
+    let ahead = fleet.remote(1);
+    ahead.enqueue(stream[2].patch.clone());
+    await_applied(&ahead, 3);
+    // A v3 patch that builds a two-field `cache_entry` without defining
+    // it: right for worker 0, ill-typed where the type has three fields.
+    let v3 = versions::v3();
+    let v3b = v3.replace("len(cache) >= cache_cap", "len(cache) + 1 > cache_cap");
+    let fix = PatchGen::new()
+        .generate(&v3, &v3b, "v3", "v3b")
+        .unwrap()
+        .patch;
+
+    let report = fleet
+        .rollout_plan(&fix, &RolloutPlan::rolling())
+        .unwrap()
+        .fleet_report;
+    assert_eq!(report.applied.len(), 1, "{report}");
+    assert_eq!(report.applied[0].0, 0);
+    assert_eq!(report.failed.len(), 1, "{report}");
+    let (worker, failure) = &report.failed[0];
+    assert_eq!((*worker, failure.phase), (1, "verify"), "{failure}");
+    assert!(matches!(failure.error, UpdateError::Verify(_)), "{failure}");
+    assert_eq!(fleet.live_versions(), ["v3b", "v4"]);
+
+    let events = journal.events();
+    assert_eq!(
+        staged(&events),
+        4,
+        "worker 1's own hop and the fix staged too"
+    );
+    assert_eq!(
+        held(&events),
+        6,
+        "…and held on workers 1 and 0 respectively"
+    );
+    for id in journal.update_ids() {
+        validate_lifecycle(&journal.events_for(id)).unwrap();
+    }
     fleet.shutdown().unwrap();
 }

@@ -3,9 +3,15 @@
 //! Every dynamic patch traverses an explicit lifecycle:
 //!
 //! ```text
-//! enqueued -> gate-wait -> drain -> verify -> compat -> link -> bind
-//!          -> init -> transform -> committed | aborted | rolled-back
+//! enqueued -> [staged] -> gate-wait -> drain -> verify -> compat -> link
+//!          -> bind -> init -> transform -> committed | aborted | rolled-back
 //! ```
+//!
+//! `staged` is the one timed step that happens *outside* the update
+//! pause: the enqueuing thread verified the patch ahead of time, while
+//! the guest kept running. It is recorded by the lifecycle that paid for
+//! the work (a fleet rollout stages once and shares the result, so one
+//! lifecycle per rollout carries it) and is not part of the phase sum.
 //!
 //! A *reverse* lifecycle — an inverse patch or snapshot restore undoing a
 //! prior update — traverses the same stages and closes with
@@ -37,6 +43,12 @@ use crate::json;
 pub enum Stage {
     /// Patch entered the pending queue.
     Enqueued,
+    /// The patch was staged ahead of the pause, on the enqueuing thread:
+    /// verified against the types the target binds (the consulted
+    /// definitions kept as a certificate the pause re-checks) and its
+    /// patch-only link work precomputed. Timed, but outside
+    /// [`Stage::PHASES`]: the guest was running.
+    Staged,
     /// Rollout-gate rendezvous (barrier wait) at the start of a pause.
     GateWait,
     /// The host's drain hook, timed: whatever the host waits for before
@@ -83,6 +95,7 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Enqueued => "enqueued",
+            Stage::Staged => "staged",
             Stage::GateWait => "gate-wait",
             Stage::Drain => "drain",
             Stage::Verify => "verify",
@@ -102,6 +115,7 @@ impl Stage {
     pub fn from_name(name: &str) -> Option<Stage> {
         Some(match name {
             "enqueued" => Stage::Enqueued,
+            "staged" => Stage::Staged,
             "gate-wait" => Stage::GateWait,
             "drain" => Stage::Drain,
             "verify" => Stage::Verify,
@@ -121,17 +135,18 @@ impl Stage {
     fn order(self) -> u8 {
         match self {
             Stage::Enqueued => 0,
-            Stage::GateWait => 1,
-            Stage::Drain => 2,
-            Stage::Verify => 3,
-            Stage::Compat => 4,
-            Stage::Link => 5,
-            Stage::Bind => 6,
-            Stage::Init => 7,
-            Stage::Transform => 8,
-            Stage::Committed => 9,
-            Stage::Aborted => 9,
-            Stage::RolledBack => 9,
+            Stage::Staged => 1,
+            Stage::GateWait => 2,
+            Stage::Drain => 3,
+            Stage::Verify => 4,
+            Stage::Compat => 5,
+            Stage::Link => 6,
+            Stage::Bind => 7,
+            Stage::Init => 8,
+            Stage::Transform => 9,
+            Stage::Committed => 10,
+            Stage::Aborted => 10,
+            Stage::RolledBack => 10,
         }
     }
 }
@@ -513,6 +528,7 @@ impl Journal {
 /// the stack relies on: the terminal stage appears exactly once (at the
 /// end), each timed pipeline phase at most once (so `Drain` precedes
 /// every other phase of the same pause, gate waits precede the drain),
+/// `Staged` at most once and only between `Enqueued` and the pause,
 /// every event agrees on the version transition, and a `Committed` or
 /// `RolledBack` total equals the sum of the phase durations exactly —
 /// the phase-sum law that makes journal and `PhaseTimings` (and the
@@ -559,8 +575,8 @@ pub fn validate_lifecycle(events: &[Event]) -> Result<(), String> {
             ));
         }
     }
-    // One terminal, and only at the end (two order-9 stages would slip
-    // past the monotonic check above).
+    // One terminal, and only at the end (two terminal stages share an
+    // order and would slip past the monotonic check above).
     for e in &events[..events.len() - 1] {
         if matches!(
             e.stage,
@@ -570,8 +586,10 @@ pub fn validate_lifecycle(events: &[Event]) -> Result<(), String> {
         }
     }
     // Each pipeline phase at most once per lifecycle: a second Drain (or
-    // a repeated Bind) means two pauses were folded into one id.
-    for phase in Stage::PHASES {
+    // a repeated Bind) means two pauses were folded into one id. Likewise
+    // the stage step: a patch is staged once, where it is enqueued (the
+    // order check above already puts it after `Enqueued`, before `Drain`).
+    for phase in Stage::PHASES.into_iter().chain([Stage::Staged]) {
         if events.iter().filter(|e| e.stage == phase).count() > 1 {
             return Err(format!("phase {phase} recorded more than once"));
         }
@@ -760,6 +778,30 @@ mod tests {
         j.record(None, u3, "v1", "v3", Stage::Committed, None, None);
         let e = validate_lifecycle(&j.events_for(u3)).unwrap_err();
         assert!(e.contains("drifts"), "{e}");
+
+        // Staged: once, after Enqueued, before the pause — and outside the
+        // phase sum.
+        let us = Some(Duration::from_micros(30));
+        let u5 = j.next_update_id();
+        j.record(None, u5, "v1", "v2", Stage::Enqueued, None, None);
+        j.record(None, u5, "v1", "v2", Stage::Staged, us, None);
+        j.record(None, u5, "v1", "v2", Stage::Drain, us, None);
+        j.record(None, u5, "v1", "v2", Stage::Committed, us, None);
+        validate_lifecycle(&j.events_for(u5)).unwrap();
+        let u6 = j.next_update_id();
+        j.record(None, u6, "v1", "v2", Stage::Enqueued, None, None);
+        j.record(None, u6, "v1", "v2", Stage::Staged, us, None);
+        j.record(None, u6, "v1", "v2", Stage::Staged, us, None);
+        j.record(None, u6, "v1", "v2", Stage::Aborted, None, None);
+        let e = validate_lifecycle(&j.events_for(u6)).unwrap_err();
+        assert!(e.contains("more than once"), "{e}");
+        let u7 = j.next_update_id();
+        j.record(None, u7, "v1", "v2", Stage::Enqueued, None, None);
+        j.record(None, u7, "v1", "v2", Stage::Drain, us, None);
+        j.record(None, u7, "v1", "v2", Stage::Staged, us, None);
+        j.record(None, u7, "v1", "v2", Stage::Committed, us, None);
+        let e = validate_lifecycle(&j.events_for(u7)).unwrap_err();
+        assert!(e.contains("stage order"), "{e}");
 
         // A terminal stage anywhere but last is rejected.
         let u4 = j.next_update_id();

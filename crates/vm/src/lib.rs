@@ -46,8 +46,8 @@ pub use decode::{Cmp, DOp, InlineCache};
 pub use interp::{ExecState, ExecStats, ExecStatsShared, Frame, Outcome};
 pub use ops::Op;
 pub use process::{
-    BindingSnapshot, GlobalCell, HostFn, LinkMode, LinkOverrides, LinkedFunction, PlannedBindings,
-    Process, ProcessTypes, UpdateSignal, WakeFn,
+    BindingSnapshot, GlobalCell, HostFn, LinkMode, LinkOverrides, LinkPlan, LinkedFunction,
+    PlannedBindings, Process, ProcessTypes, UpdateSignal, WakeFn,
 };
 pub use profile::{Profiler, SiteStats};
 pub use snapshot_io::{decode_snapshot, encode_snapshot, SnapshotCodecError};

@@ -19,13 +19,16 @@
 //! code and returns planned name bindings without publishing them, and
 //! [`Process::bind_function`] flips a binding. The dynamic-update runtime
 //! uses the split to make the *bind* step atomic and separately measurable.
+//! The half of linking that depends on the module alone is a [`LinkPlan`],
+//! which the runtime computes ahead of the update pause and hands to
+//! [`Process::link_planned`].
 
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tal::{FnSig, GlobalDef, Instr, Module, SymbolKind, Ty, TypeDef, TypeProvider};
+use tal::{FnSig, GlobalDef, Instr, Module, SymId, SymbolKind, Ty, TypeDef, TypeProvider};
 
 use crate::decode::{self, DOp};
 use crate::interp::{exec, ExecState, ExecStats, Frame, Outcome};
@@ -65,26 +68,121 @@ pub struct LinkedFunction {
     /// inline caches. This is what the interpreter dispatches over.
     pub decoded: Vec<DOp>,
     /// Names of symbols this function references (for update-safety
-    /// analysis: "who calls f", "who touches type T").
-    pub sym_refs: Vec<String>,
+    /// analysis: "who calls f", "who touches type T"). Shared with the
+    /// [`LinkPlan`] it was linked from.
+    pub sym_refs: Arc<[String]>,
     /// Names of record types this function depends on.
-    pub type_names: Vec<String>,
+    pub type_names: Arc<[String]>,
+}
+
+/// The part of linking a module that is a function of the module alone:
+/// computed once — ahead of an update pause, on any thread — and handed
+/// to [`Process::link_planned`] by every process that links the module.
+#[derive(Debug, Clone)]
+pub struct LinkPlan {
+    /// Per function, in module order.
+    refs: Vec<FnRefs>,
+    /// Per symbol: the index of the module's own function a function
+    /// symbol names, if it names one (the first, should names repeat).
+    own_fns: Vec<Option<u32>>,
+}
+
+/// What one function mentions, as its [`LinkedFunction`] will carry it.
+#[derive(Debug, Clone)]
+struct FnRefs {
+    sym_refs: Arc<[String]>,
+    type_names: Arc<[String]>,
+}
+
+impl LinkPlan {
+    /// Plans the linking of `m`.
+    pub fn of(m: &Module) -> LinkPlan {
+        LinkPlan {
+            refs: m
+                .functions
+                .iter()
+                .map(|f| FnRefs {
+                    sym_refs: f
+                        .referenced_symbols(m)
+                        .into_iter()
+                        .map(str::to_string)
+                        .collect(),
+                    type_names: f.referenced_types(m).into_iter().collect(),
+                })
+                .collect(),
+            own_fns: m
+                .symbols
+                .iter()
+                .map(|s| match s.kind {
+                    SymbolKind::Fn(_) => m
+                        .functions
+                        .iter()
+                        .position(|f| f.name == s.name)
+                        .map(|k| k as u32),
+                    _ => None,
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Planned (but not yet published) name bindings returned by
 /// [`Process::link_functions`].
 pub type PlannedBindings = Vec<(String, FuncId)>;
 
-/// Extra resolution context used when linking a *patch* module: names that
-/// should resolve to not-yet-bound targets, and type names that should
-/// resolve to specific registered layouts (old-version aliases and new
-/// versions).
+/// Extra resolution context used when linking a *patch* module: type
+/// names that should resolve to specific registered layouts (old-version
+/// aliases and new versions).
 #[derive(Debug, Default, Clone)]
 pub struct LinkOverrides {
-    /// Function name → (planned target, its signature).
-    pub functions: HashMap<String, (FuncId, FnSig)>,
     /// Type name → registered layout to use.
     pub types: HashMap<String, StructId>,
+}
+
+/// What a module symbol resolved to in this process.
+#[derive(Clone, Copy)]
+enum Resolved {
+    /// A function, called through its indirection slot (updateable mode).
+    Slot(SlotId),
+    /// A function, bound directly (static mode).
+    Direct(FuncId),
+    Global(GlobalId),
+    /// A host function and its arity.
+    Host(HostId, u16),
+}
+
+/// One link's resolution state. Each symbol, type reference and string
+/// constant of the module is resolved against the process on first use
+/// and answered from the memo afterwards: a call site costs an index, an
+/// import is looked up and type-checked once however many sites name it,
+/// and an unresolved name is still reported in the order code mentions it.
+struct Resolver<'a> {
+    m: &'a Module,
+    types: &'a HashMap<String, StructId>,
+    /// `(plan.own_fns, id of the module's first function)` when linking
+    /// the module's functions, whose mutual references resolve to their
+    /// planned ids; `None` for initialiser code, which runs after bind.
+    own: Option<(&'a [Option<u32>], u32)>,
+    syms: Vec<Option<Resolved>>,
+    type_refs: Vec<Option<StructId>>,
+    strings: Vec<Option<Rc<str>>>,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(
+        m: &'a Module,
+        ov: &'a LinkOverrides,
+        own: Option<(&'a [Option<u32>], u32)>,
+    ) -> Resolver<'a> {
+        Resolver {
+            m,
+            types: &ov.types,
+            own,
+            syms: vec![None; m.symbols.len()],
+            type_refs: vec![None; m.type_refs.len()],
+            strings: vec![None; m.strings.len()],
+        }
+    }
 }
 
 /// A host (extern) function: the embedder's side of the guest's FFI.
@@ -658,8 +756,8 @@ impl Process {
                 locals: Vec::new(),
                 code,
                 decoded,
-                sym_refs: Vec::new(),
-                type_names: Vec::new(),
+                sym_refs: Arc::default(),
+                type_names: Arc::default(),
             });
             collected += 1;
         }
@@ -772,27 +870,33 @@ impl Process {
         m: &Module,
         overrides: &LinkOverrides,
     ) -> Result<PlannedBindings, LinkError> {
-        // Phase 1: reserve ids for the module's own functions.
-        let mut ov = overrides.clone();
+        self.link_planned(m, &LinkPlan::of(m), overrides)
+    }
+
+    /// [`Process::link_functions`] with the module-only half of the work
+    /// done ahead of time: `plan` must be [`LinkPlan::of`] this `m`.
+    ///
+    /// # Errors
+    /// Fails when a symbol is unresolved or resolves at a different type.
+    ///
+    /// # Panics
+    /// Panics when `plan` was not computed from a module of `m`'s shape.
+    pub fn link_planned(
+        &mut self,
+        m: &Module,
+        plan: &LinkPlan,
+        overrides: &LinkOverrides,
+    ) -> Result<PlannedBindings, LinkError> {
+        assert!(
+            plan.refs.len() == m.functions.len() && plan.own_fns.len() == m.symbols.len(),
+            "link plan does not belong to module `{}`",
+            m.name
+        );
         let base = self.functions.len() as u32;
+        let mut r = Resolver::new(m, overrides, Some((&plan.own_fns, base)));
         let mut planned = Vec::with_capacity(m.functions.len());
-        for (i, f) in m.functions.iter().enumerate() {
-            let id = FuncId(base + i as u32);
-            planned.push((f.name.clone(), id));
-            ov.functions
-                .entry(f.name.clone())
-                .or_insert((id, f.sig.clone()));
-        }
-        // Phase 2: resolve and install.
-        let strings: Vec<Rc<str>> = m.strings.iter().map(|s| Rc::from(s.as_str())).collect();
-        for f in &m.functions {
-            let code = self.resolve_code(m, &f.code, &ov, &strings)?;
-            let sym_refs = f
-                .referenced_symbols(m)
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-            let type_names = f.referenced_types(m).into_iter().collect();
+        for (i, (f, refs)) in m.functions.iter().zip(&plan.refs).enumerate() {
+            let code = self.resolve_code(&mut r, &f.code)?;
             let decoded = decode::lower(&code);
             self.functions.push(Rc::new(LinkedFunction {
                 name: f.name.clone(),
@@ -802,9 +906,10 @@ impl Process {
                 locals: f.locals.clone(),
                 code,
                 decoded,
-                sym_refs,
-                type_names,
+                sym_refs: Arc::clone(&refs.sym_refs),
+                type_names: Arc::clone(&refs.type_names),
             }));
+            planned.push((f.name.clone(), FuncId(base + i as u32)));
         }
         Ok(planned)
     }
@@ -819,9 +924,8 @@ impl Process {
         g: &GlobalDef,
         overrides: &LinkOverrides,
     ) -> Result<Value, Trap> {
-        let strings: Vec<Rc<str>> = m.strings.iter().map(|s| Rc::from(s.as_str())).collect();
         let code = self
-            .resolve_code(m, &g.init, overrides, &strings)
+            .resolve_code(&mut Resolver::new(m, overrides, None), &g.init)
             .map_err(|e| Trap::Host(e.to_string()))?;
         let decoded = decode::lower(&code);
         let f = Rc::new(LinkedFunction {
@@ -832,119 +936,130 @@ impl Process {
             locals: Vec::new(),
             code,
             decoded,
-            sym_refs: Vec::new(),
-            type_names: Vec::new(),
+            sym_refs: Arc::default(),
+            type_names: Arc::default(),
         });
         self.call_linked(&f, Vec::new())
     }
 
-    fn resolve_code(
-        &mut self,
-        m: &Module,
-        code: &[Instr],
-        ov: &LinkOverrides,
-        strings: &[Rc<str>],
-    ) -> Result<Vec<Op>, LinkError> {
+    fn resolve_code(&mut self, r: &mut Resolver<'_>, code: &[Instr]) -> Result<Vec<Op>, LinkError> {
         let mut out = Vec::with_capacity(code.len());
         for ins in code {
-            out.push(self.resolve_instr(m, ins, ov, strings)?);
+            out.push(self.resolve_instr(r, ins)?);
         }
         Ok(out)
     }
 
     fn resolve_type(
         &self,
-        m: &Module,
+        r: &mut Resolver<'_>,
         tr: tal::TypeRefId,
-        ov: &LinkOverrides,
     ) -> Result<StructId, LinkError> {
-        let name = m.type_ref(tr).expect("verified type ref");
-        if let Some(&id) = ov.types.get(name) {
-            return Ok(id);
+        if let Some(Some(id)) = r.type_refs.get(tr.0 as usize) {
+            return Ok(*id);
         }
-        self.struct_id(name).ok_or_else(|| LinkError::Unresolved {
-            name: name.to_string(),
-            kind: "type",
-        })
-    }
-
-    /// Resolves a function symbol to a target and checks the signature.
-    fn resolve_fn(
-        &mut self,
-        name: &str,
-        want: &FnSig,
-        ov: &LinkOverrides,
-    ) -> Result<(FuncId, bool), LinkError> {
-        let (id, found_sig) = if let Some((id, sig)) = ov.functions.get(name) {
-            (*id, sig.clone())
-        } else if let Some(id) = self.fn_by_name.get(name) {
-            (*id, self.functions[id.0 as usize].sig.clone())
-        } else {
-            return Err(LinkError::Unresolved {
+        let name = r.m.type_ref(tr).expect("verified type ref");
+        let id = match r.types.get(name) {
+            Some(&id) => id,
+            None => self.struct_id(name).ok_or_else(|| LinkError::Unresolved {
                 name: name.to_string(),
-                kind: "function",
-            });
+                kind: "type",
+            })?,
         };
-        if &found_sig != want {
-            return Err(LinkError::TypeMismatch {
-                name: name.to_string(),
-                expected: want.to_string(),
-                found: found_sig.to_string(),
-            });
-        }
-        Ok((id, self.mode == LinkMode::Updateable))
+        r.type_refs[tr.0 as usize] = Some(id);
+        Ok(id)
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn resolve_instr(
-        &mut self,
-        m: &Module,
-        ins: &Instr,
-        ov: &LinkOverrides,
-        strings: &[Rc<str>],
-    ) -> Result<Op, LinkError> {
+    /// Resolves symbol `s` against the process (first use) or the memo,
+    /// checking the type the module expects of it against what is bound.
+    fn resolve_sym(&mut self, r: &mut Resolver<'_>, s: SymId) -> Result<Resolved, LinkError> {
+        let i = s.0 as usize;
+        if let Some(Some(done)) = r.syms.get(i) {
+            return Ok(*done);
+        }
+        let sym = r.m.symbol(s).expect("verified symbol");
+        let unresolved = |kind| LinkError::Unresolved {
+            name: sym.name.clone(),
+            kind,
+        };
+        let mismatch = |expected: String, found: String| LinkError::TypeMismatch {
+            name: sym.name.clone(),
+            expected,
+            found,
+        };
+        let resolved = match &sym.kind {
+            SymbolKind::Fn(want) => {
+                let own = r.own.and_then(|(own, base)| Some((own[i]?, base)));
+                let (id, found) = match own {
+                    Some((k, base)) => (FuncId(base + k), &r.m.functions[k as usize].sig),
+                    None => {
+                        let id = *self
+                            .fn_by_name
+                            .get(&sym.name)
+                            .ok_or_else(|| unresolved("function"))?;
+                        (id, &self.functions[id.0 as usize].sig)
+                    }
+                };
+                if found != want {
+                    return Err(mismatch(want.to_string(), found.to_string()));
+                }
+                match self.mode {
+                    LinkMode::Updateable => Resolved::Slot(self.ensure_slot(&sym.name)),
+                    LinkMode::Static => Resolved::Direct(id),
+                }
+            }
+            SymbolKind::Global(want) => {
+                let id = *self
+                    .global_by_name
+                    .get(&sym.name)
+                    .ok_or_else(|| unresolved("global"))?;
+                let found = &self.globals[id.0 as usize].ty;
+                if found != want {
+                    return Err(mismatch(want.to_string(), found.to_string()));
+                }
+                Resolved::Global(id)
+            }
+            SymbolKind::Host(want) => {
+                let id = *self
+                    .host_by_name
+                    .get(&sym.name)
+                    .ok_or_else(|| unresolved("host"))?;
+                let found = &self.hosts[id.0 as usize].sig;
+                if found != want {
+                    return Err(mismatch(want.to_string(), found.to_string()));
+                }
+                Resolved::Host(id, want.params.len() as u16)
+            }
+        };
+        r.syms[i] = Some(resolved);
+        Ok(resolved)
+    }
+
+    fn resolve_instr(&mut self, r: &mut Resolver<'_>, ins: &Instr) -> Result<Op, LinkError> {
         use Instr as I;
         Ok(match ins {
             I::PushUnit => Op::PushUnit,
             I::PushInt(n) => Op::PushInt(*n),
             I::PushBool(b) => Op::PushBool(*b),
-            I::PushStr(s) => Op::PushStr(Rc::clone(&strings[s.0 as usize])),
-            I::PushNull(_) => Op::PushNull,
-            I::PushFn(s) => {
-                let sym = m.symbol(*s).expect("verified symbol");
-                let SymbolKind::Fn(sig) = &sym.kind else {
-                    unreachable!("verified kind")
-                };
-                let (id, indirect) = self.resolve_fn(&sym.name, sig, ov)?;
-                if indirect {
-                    Op::PushFnSlot(self.ensure_slot(&sym.name))
-                } else {
-                    Op::PushFnDirect(id)
-                }
+            I::PushStr(s) => {
+                let m = r.m;
+                let slot = &mut r.strings[s.0 as usize];
+                Op::PushStr(Rc::clone(
+                    slot.get_or_insert_with(|| Rc::from(m.strings[s.0 as usize].as_str())),
+                ))
             }
+            I::PushNull(_) => Op::PushNull,
+            I::PushFn(s) => match self.resolve_sym(r, *s)? {
+                Resolved::Slot(slot) => Op::PushFnSlot(slot),
+                Resolved::Direct(id) => Op::PushFnDirect(id),
+                _ => unreachable!("verified kind"),
+            },
             I::LoadLocal(n) => Op::LoadLocal(*n),
             I::StoreLocal(n) => Op::StoreLocal(*n),
             I::LoadGlobal(s) | I::StoreGlobal(s) => {
-                let sym = m.symbol(*s).expect("verified symbol");
-                let SymbolKind::Global(want) = &sym.kind else {
+                let Resolved::Global(id) = self.resolve_sym(r, *s)? else {
                     unreachable!("verified kind")
                 };
-                let id =
-                    *self
-                        .global_by_name
-                        .get(&sym.name)
-                        .ok_or_else(|| LinkError::Unresolved {
-                            name: sym.name.clone(),
-                            kind: "global",
-                        })?;
-                let found = &self.globals[id.0 as usize].ty;
-                if found != want {
-                    return Err(LinkError::TypeMismatch {
-                        name: sym.name.clone(),
-                        expected: want.to_string(),
-                        found: found.to_string(),
-                    });
-                }
                 if matches!(ins, I::LoadGlobal(_)) {
                     Op::LoadGlobal(id)
                 } else {
@@ -979,45 +1094,21 @@ impl Process {
             I::StrToInt => Op::StrToInt,
             I::Jump(t) => Op::Jump(*t),
             I::JumpIfFalse(t) => Op::JumpIfFalse(*t),
-            I::Call(s) => {
-                let sym = m.symbol(*s).expect("verified symbol");
-                let SymbolKind::Fn(sig) = &sym.kind else {
-                    unreachable!("verified kind")
-                };
-                let (id, indirect) = self.resolve_fn(&sym.name, sig, ov)?;
-                if indirect {
-                    Op::CallSlot(self.ensure_slot(&sym.name))
-                } else {
-                    Op::CallDirect(id)
-                }
-            }
+            I::Call(s) => match self.resolve_sym(r, *s)? {
+                Resolved::Slot(slot) => Op::CallSlot(slot),
+                Resolved::Direct(id) => Op::CallDirect(id),
+                _ => unreachable!("verified kind"),
+            },
             I::CallIndirect => Op::CallIndirect,
             I::CallHost(s) => {
-                let sym = m.symbol(*s).expect("verified symbol");
-                let SymbolKind::Host(want) = &sym.kind else {
+                let Resolved::Host(id, argc) = self.resolve_sym(r, *s)? else {
                     unreachable!("verified kind")
                 };
-                let id =
-                    *self
-                        .host_by_name
-                        .get(&sym.name)
-                        .ok_or_else(|| LinkError::Unresolved {
-                            name: sym.name.clone(),
-                            kind: "host",
-                        })?;
-                let found = &self.hosts[id.0 as usize].sig;
-                if found != want {
-                    return Err(LinkError::TypeMismatch {
-                        name: sym.name.clone(),
-                        expected: want.to_string(),
-                        found: found.to_string(),
-                    });
-                }
-                Op::CallHost(id, want.params.len() as u16)
+                Op::CallHost(id, argc)
             }
             I::Ret => Op::Ret,
             I::NewRecord(tr) => {
-                let id = self.resolve_type(m, *tr, ov)?;
+                let id = self.resolve_type(r, *tr)?;
                 let n = self.struct_def(id).fields.len() as u16;
                 Op::NewRecord(id, n)
             }

@@ -19,6 +19,9 @@
 //! * **Rollback chains** — random version chains applied at update points
 //!   under traffic walk back any number of hops, restoring each hop's
 //!   snapshot state with every journal lifecycle obeying the phase laws.
+//! * **Staged commits** — over random walks of a version history, a patch
+//!   staged at some earlier point of the walk commits to exactly what an
+//!   unstaged apply produces on a twin process.
 //!
 //! Every test derives each case's generator from a fixed base seed, so
 //! failures reproduce by case index.
@@ -776,6 +779,150 @@ fn rollback_chains_restore_every_version_under_traffic() {
         }
         assert_eq!(got, Value::Int(sum));
     }
+}
+
+// ========================== staged commits ==========================
+
+/// Random walks over a six-version history — forward hops, inverse-patch
+/// rollbacks, snapshot restores, and now and then a patch that does not
+/// belong where the walk stands — on twin processes: one commits patches
+/// that were *staged at a random earlier point of the walk* (against
+/// whatever the process bound then, so certificates hold, go stale, or
+/// were never issued), the other applies them unstaged. After every move
+/// the twins agree on the outcome (the same success, or the same typed
+/// error), on their interface, and on what the guest answers. The
+/// staleness check is the whole safety argument of staging; this is its
+/// differential test.
+#[test]
+fn staged_commits_equal_unstaged_applies_on_seeded_walks() {
+    use dsu_core::{apply_patch, commit, interface_of, stage, UpdatePolicy, Verification};
+    use vm::ProcessTypes;
+
+    // `a` scales in `add`, `s` in `sum`, `fields` grows `rec`. A hop that
+    // moves only `s` names `rec` without building one, so it verifies
+    // against any layout — a stale certificate that re-verifies fine; a
+    // hop that moves `a` builds a `rec` and verifies against one layout.
+    let mk_src = |(a, s, fields): (i64, i64, usize)| -> String {
+        let decls: String = (0..fields).map(|i| format!(", x{i}: int")).collect();
+        let inits: String = (0..fields).map(|i| format!(", x{i}: {i}")).collect();
+        format!(
+            r#"
+            struct rec {{ id: int{decls} }}
+            global data: [rec] = new [rec];
+            fun add(n: int): unit {{ push(data, rec {{ id: n * {a}{inits} }}); }}
+            fun sum(): int {{
+                var t: int = 0;
+                var i: int = 0;
+                while (i < len(data)) {{ t = t + data[i].id * {s}; i = i + 1; }}
+                return t;
+            }}
+            "#
+        )
+    };
+    let history = [
+        (1, 1, 0),
+        (3, 1, 0),
+        (3, 1, 1),
+        (3, 2, 1),
+        (3, 2, 2),
+        (5, 3, 2),
+    ];
+    let srcs: Vec<String> = history.iter().map(|&v| mk_src(v)).collect();
+    let top = srcs.len() - 1;
+    let gen = |from: usize, to: usize| {
+        dsu_core::PatchGen::new()
+            .generate(
+                &srcs[from],
+                &srcs[to],
+                &format!("v{from}"),
+                &format!("v{to}"),
+            )
+            .unwrap()
+            .patch
+    };
+    // patches[i]: forward hop i → i+1; patches[top + i]: inverse i+1 → i.
+    let patches: Vec<dsu_core::Patch> = (0..top)
+        .map(|i| gen(i, i + 1))
+        .chain((0..top).map(|i| gen(i + 1, i)))
+        .collect();
+
+    let policy = UpdatePolicy::default();
+    let boot = || {
+        let m = popcorn::compile(&srcs[0], "walk", "v0", &popcorn::Interface::new()).unwrap();
+        let mut p = Process::new(LinkMode::Updateable);
+        p.load_module(&m).unwrap();
+        p
+    };
+    // What the walks exercised, over all seeds: (held, re-verified, no
+    // certificate, rejected).
+    let mut seen = [0usize; 4];
+
+    for case in 0..150u64 {
+        let mut rng = Rng::seed_from_u64(0x57A6ED ^ case);
+        let (mut a, mut b) = (boot(), boot());
+        let stage_at = |p: &Process, i: usize| stage(patches[i].clone(), &ProcessTypes(p), policy);
+        // Every patch is staged before the walk starts, against v0…
+        let mut staged: Vec<_> = (0..patches.len()).map(|i| stage_at(&a, i)).collect();
+        let mut at = 0usize;
+        let mut snapshots = Vec::new(); // (a's, b's, version) before a hop
+
+        for step in 0..14 {
+            // …and a few are staged again wherever the walk stands.
+            for _ in 0..rng.gen_range_usize(0, 3) {
+                let i = rng.gen_range_usize(0, patches.len() - 1);
+                staged[i] = stage_at(&a, i);
+            }
+            let ctx = format!("case {case} step {step} at v{at}");
+            let roll = rng.gen_range_usize(0, 9);
+            if roll == 0 && !snapshots.is_empty() {
+                let (sa, sb, v) = snapshots.pop().unwrap();
+                a.restore(sa);
+                b.restore(sb);
+                at = v;
+            } else {
+                let (i, to) = match roll {
+                    1 => (rng.gen_range_usize(0, patches.len() - 1), at), // a stranger
+                    _ if at == top || (at > 0 && roll < 5) => (top + at - 1, at - 1),
+                    _ => (at, at + 1),
+                };
+                let before = (a.snapshot(), b.snapshot(), at);
+                let got = commit(&mut a, &staged[i], policy);
+                let want = apply_patch(&mut b, &patches[i], policy);
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => {
+                        assert_eq!(w.verification, Verification::NoCertificate);
+                        assert_eq!(
+                            (g.functions_replaced, g.globals_transformed, g.patch_bytes),
+                            (w.functions_replaced, w.globals_transformed, w.patch_bytes),
+                            "{ctx}"
+                        );
+                        seen[match g.verification {
+                            Verification::CertificateHeld => 0,
+                            Verification::Reverified { .. } => 1,
+                            Verification::NoCertificate => 2,
+                            Verification::Skipped => unreachable!("the policy verifies"),
+                        }] += 1;
+                        snapshots.push(before);
+                        at = to;
+                    }
+                    (Err(g), Err(w)) => {
+                        assert_eq!(g, w, "{ctx}");
+                        seen[3] += 1;
+                    }
+                    _ => panic!("{ctx}: staged {got:?}, unstaged {want:?}"),
+                }
+            }
+            assert_eq!(interface_of(&a), interface_of(&b), "{ctx}");
+            let n = Value::Int(step as i64 + 1);
+            assert_eq!(
+                a.call("add", vec![n.clone()]),
+                b.call("add", vec![n]),
+                "{ctx}"
+            );
+            assert_eq!(a.call("sum", vec![]), b.call("sum", vec![]), "{ctx}");
+        }
+    }
+    assert!(seen.iter().all(|&n| n >= 20), "walks too tame: {seen:?}");
 }
 
 // ====================== supervised faulted walks ======================

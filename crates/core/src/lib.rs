@@ -77,7 +77,8 @@ pub use report::{
 };
 pub use rollback::{SnapshotEntry, SnapshotRing, DEFAULT_SNAPSHOT_DEPTH};
 pub use runtime::{
-    decode_worker_state, DrainHook, Gate, PauseEvent, PauseLog, RunError, Updater, UpdaterRemote,
+    decode_worker_state, Cut, DrainHook, Gate, Mark, PauseEvent, PauseLog, Progress, RunError,
+    Updater, UpdaterRemote,
 };
 
 #[cfg(test)]

@@ -117,6 +117,24 @@ impl SnapshotRing {
             .collect()
     }
 
+    /// Checks that every retained snapshot can be restored onto `proc`
+    /// (see [`BindingSnapshot::fits`]): a ring read back from bytes is
+    /// trusted no further than this.
+    ///
+    /// # Errors
+    ///
+    /// Names the first entry that does not fit, and why.
+    pub fn fits(&self, proc: &vm::Process) -> Result<(), String> {
+        self.entries.iter().try_for_each(|e| {
+            e.snapshot.fits(proc).map_err(|why| {
+                format!(
+                    "ring entry {}->{} does not fit the process: {why}",
+                    e.from_version, e.to_version
+                )
+            })
+        })
+    }
+
     /// Number of retained snapshots.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -13,18 +13,25 @@
 //! the stage's certificate. No staging happens inside
 //! [`Updater::apply_pending`].
 //!
-//! The patch queue, apply log and failure log live behind shared handles:
-//! an [`UpdaterRemote`] lets *another thread* (a fleet coordinator) feed
-//! patches to a process it does not own, arm the process's update signal,
-//! and block in [`UpdaterRemote::wait_until`] until the outcome it is
-//! waiting for exists — the substrate of coordinated multi-worker
-//! rollouts. Outcomes are published, then waiters woken: when a waiter
-//! runs, the report or failure, the dropped in-flight count and the
-//! pause event of the apply that woke it are all already visible.
+//! The updater is a monitor. Everything another thread may see — the op
+//! queue and its mid-apply count, the reports, failures and pause events,
+//! the ring's transitions, the bound-type view, the gate, the trace
+//! destination — sits behind **one lock with one condvar**, and an
+//! [`Updater`] and its [`UpdaterRemote`]s are two views of it: the worker
+//! thread's (which also owns what never leaves that thread — the snapshot
+//! ring, the drain hook, the replay chain) and a coordinator's. The lock
+//! is held for pops, pushes and reads only: the drain hook, the gate,
+//! [`crate::stage`], the commit, journal writes and guest code all run
+//! with it released. A pause collects its outcomes locally and
+//! **publishes them once**, as its last act on every exit path, so whoever
+//! holds the lock sees the whole pause or none of it: a report never
+//! precedes its pause event, and `pending_count() == 0` never precedes an
+//! outcome. [`UpdaterRemote::wait_until`] evaluates its predicate under
+//! that lock and parks on the condvar, so there is no window between "not
+//! yet" and "parked" for a publish to fall into.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dsu_obs::trace::{Span, SpanKind};
@@ -50,8 +57,26 @@ pub struct PauseEvent {
     pub dur: Duration,
 }
 
-/// Shared, clonable handle onto an [`Updater`]'s pause log.
-pub type PauseLog = Arc<Mutex<Vec<PauseEvent>>>;
+/// A read-only handle onto an [`Updater`]'s pause history, for host
+/// instrumentation that outlives its borrow of the updater. Observes
+/// pauses published after the handle was taken.
+#[derive(Clone)]
+pub struct PauseLog(Arc<Shared>);
+
+impl PauseLog {
+    /// Total length of the pauses that began at or after `t0`. Pauses are
+    /// published in time order, so this scans from the newest and stops
+    /// at the first that began earlier.
+    pub fn paused_since(&self, t0: Instant) -> Duration {
+        let s = self.0.lock();
+        s.pauses
+            .iter()
+            .rev()
+            .take_while(|ev| ev.at >= t0)
+            .map(|ev| ev.dur)
+            .sum()
+    }
+}
 
 /// A one-shot rendezvous run at the start of the next update pause, before
 /// any patch applies — e.g. a barrier wait that lines a whole fleet up at
@@ -66,60 +91,48 @@ pub type Gate = Box<dyn FnOnce() + Send>;
 /// pause's first applied patch as [`crate::PhaseTimings::drain`].
 pub type DrainHook = Box<dyn FnMut() + Send>;
 
-/// What the outcome signal's lock guards.
-#[derive(Default)]
-struct Outcomes {
-    /// Publishes so far. A count, not a flag: a waiter compares it with
-    /// the reading it took *before* evaluating its predicate, so a publish
-    /// that lands between the two is never lost.
-    events: u64,
-    /// Waiters currently parked. A publish signals the condvar only when
-    /// this is non-zero, so an apply nobody waits for (a bare guest, a
-    /// boot-time replay) pays no wake-up system call.
-    waiting: usize,
+/// An opaque cursor into one updater's outcome history: take it with
+/// [`UpdaterRemote::mark`] before enqueueing, read what happened after it
+/// with [`UpdaterRemote::since`]. The default mark is the beginning.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mark {
+    reports: usize,
+    failures: usize,
+    pauses: usize,
 }
 
-/// The one wake an [`Updater`] and its [`UpdaterRemote`]s share: bumped
-/// after an update pause's outcomes are all visible, by a withdrawal, and
-/// by [`UpdaterRemote::wake`].
-#[derive(Default)]
-struct OutcomeSignal {
-    state: Mutex<Outcomes>,
-    moved: Condvar,
+/// Everything published after a [`Mark`], read as one consistent cut:
+/// whole pauses only, each report and failure with its pause event.
+#[derive(Debug, Clone, Default)]
+pub struct Cut {
+    /// Reports of the successful applies, oldest first.
+    pub reports: Vec<UpdateReport>,
+    /// Failures of the failed applies, oldest first.
+    pub failures: Vec<FailedUpdate>,
+    /// The update pauses, oldest first.
+    pub pauses: Vec<PauseEvent>,
 }
 
-impl OutcomeSignal {
-    /// Bumps the event count and wakes every parked waiter. Callers make
-    /// whatever a waiter's predicate reads visible *first*.
-    fn publish(&self) {
-        let wake = {
-            let mut s = self.state.lock().expect("poisoned");
-            s.events += 1;
-            s.waiting > 0
-        };
-        if wake {
-            self.moved.notify_all();
-        }
-    }
+/// What a [`UpdaterRemote::wait_until`] predicate is shown: the updater's
+/// counts, read under its lock — so all four belong to one instant.
+#[derive(Debug, Clone, Copy)]
+pub struct Progress {
+    /// Successful applies so far.
+    pub applied: usize,
+    /// Failed applies so far (non-strict updater).
+    pub failed: usize,
+    /// Operations queued or mid-apply. Zero means every submitted op's
+    /// outcome is counted above.
+    pub pending: usize,
+    /// Update pauses published so far.
+    pub pauses: usize,
+}
 
-    fn events(&self) -> u64 {
-        self.state.lock().expect("poisoned").events
-    }
-
-    /// Parks until the event count moves past `seen`; `false` when
-    /// `deadline` passed first.
-    fn park(&self, seen: u64, deadline: Instant) -> bool {
-        let mut s = self.state.lock().expect("poisoned");
-        while s.events == seen {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            s.waiting += 1;
-            s = self.moved.wait_timeout(s, left).expect("poisoned").0;
-            s.waiting -= 1;
-        }
-        true
+impl Progress {
+    /// Operations resolved — applied or failed — since `mark` (zero when
+    /// the history is shorter than the mark: a restarted worker's is).
+    pub fn resolved_since(&self, mark: Mark) -> usize {
+        (self.applied + self.failed).saturating_sub(mark.reports + mark.failures)
     }
 }
 
@@ -150,12 +163,6 @@ struct SpanCtx {
     head_used: bool,
 }
 
-/// The type definitions a process binds, by name, as a `Send` value a
-/// coordinator can stage against (see [`UpdaterRemote::stage`]). `None`
-/// until [`Updater::remote`] seeds it: an updater nobody drives remotely
-/// publishes nothing.
-type BoundTypes = Mutex<Option<Arc<BTreeMap<String, TypeDef>>>>;
-
 /// A queued update operation, tagged with its journal lifecycle id
 /// (0 when no journal is attached).
 struct QueuedOp {
@@ -167,6 +174,7 @@ struct QueuedOp {
 }
 
 /// What a queued operation does when the pause drains it.
+#[derive(Clone)]
 enum OpKind {
     /// Commit `staged`. `rollback` marks an *inverse* patch — a downgrade
     /// whose reverse state transformers take the process back to a prior
@@ -200,6 +208,190 @@ impl QueuedOp {
     }
 }
 
+/// What the monitor's lock guards: every piece of an updater another
+/// thread may read or write.
+#[derive(Default)]
+struct State {
+    queue: VecDeque<QueuedOp>,
+    /// Ops the running pause has popped off `queue` and not published
+    /// yet. Counted into `pending_count`, so "nothing pending" can never
+    /// be observed while an outcome is still invisible.
+    mid_apply: usize,
+    reports: Vec<UpdateReport>,
+    /// Failures of patches that did not apply (the run continues), with
+    /// version-transition and failing-phase context attached.
+    failures: Vec<FailedUpdate>,
+    pauses: Vec<PauseEvent>,
+    /// The `(from, to)` transitions the worker's snapshot ring retains,
+    /// oldest first: what a coordinator may see of a ring whose snapshots
+    /// hold `Rc` guest values and never leave the worker thread.
+    transitions: Vec<(String, String)>,
+    /// The type definitions the process binds, by name, as a `Send` value
+    /// a coordinator can stage against. `None` until [`Updater::remote`]
+    /// seeds it; refreshed by any pause that changed a type binding.
+    /// Advisory only — commit checks the certificate against the process
+    /// itself, so a view that lags costs a re-verification, never safety.
+    bound_types: Option<Arc<BTreeMap<String, TypeDef>>>,
+    /// One-shot rendezvous for the next pause (coordinated rollouts).
+    gate: Option<Gate>,
+    /// Lifecycle-event destination (None = tracing off, the default —
+    /// enqueues and applies cost nothing extra).
+    trace: Option<Trace>,
+    /// Propagated rollout span context `(trace, span)`: when set (by a
+    /// fleet coordinator), update spans this worker records parent under
+    /// that rollout span instead of opening fresh traces. Persists until
+    /// overwritten by the next rollout.
+    span_parent: Option<(u64, u64)>,
+    /// Threads parked in [`UpdaterRemote::wait_until`]. A publish signals
+    /// the condvar only when this is non-zero, so an apply nobody waits
+    /// for (a bare guest, a boot-time replay) pays no wake-up system call.
+    waiting: usize,
+}
+
+impl State {
+    fn progress(&self) -> Progress {
+        Progress {
+            applied: self.reports.len(),
+            failed: self.failures.len(),
+            pending: self.queue.len() + self.mid_apply,
+            pauses: self.pauses.len(),
+        }
+    }
+}
+
+/// One change to the monitor's state, made visible in one critical
+/// section (see [`Shared::publish`]). The default changes nothing and is
+/// a bare wake.
+#[derive(Default)]
+struct Publication {
+    reports: Vec<UpdateReport>,
+    failures: Vec<FailedUpdate>,
+    pause: Option<PauseEvent>,
+    /// The ring's transitions, when the ring changed.
+    transitions: Option<Vec<(String, String)>>,
+    /// The bound-type view, when a type binding changed.
+    bound_types: Option<Arc<BTreeMap<String, TypeDef>>>,
+    /// Popped ops this resolves: the mid-apply count drops by it.
+    resolved: usize,
+}
+
+/// The monitor an [`Updater`] and its [`UpdaterRemote`]s share.
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    moved: Condvar,
+    /// `notify_all` calls made so far (what the no-waiter test observes).
+    #[cfg(test)]
+    notifies: std::sync::atomic::AtomicUsize,
+}
+
+impl Shared {
+    /// Every critical section is a few pushes, pops or reads that leave
+    /// `State` valid at each step, and the one piece of foreign code that
+    /// runs under the lock — a `wait_until` predicate — gets `&Progress`
+    /// and can change nothing. A panic under the lock therefore poisons
+    /// nothing worth refusing: recover the guard, so a coordinator's
+    /// panicking predicate cannot take the worker's next publish (which
+    /// runs in a `Drop`) down with it.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `out` under the lock, releases it, and only then — and only
+    /// if somebody is parked — signals the condvar: a woken waiter does
+    /// not wake into a held lock, and a publish nobody waits for makes no
+    /// condvar call at all.
+    fn publish(&self, mut out: Publication) {
+        let wake = {
+            let mut s = self.lock();
+            s.reports.append(&mut out.reports);
+            s.failures.append(&mut out.failures);
+            s.pauses.extend(out.pause);
+            // Swapped, not assigned: the superseded values are freed with
+            // `out`, after the unlock.
+            if let Some(t) = &mut out.transitions {
+                std::mem::swap(&mut s.transitions, t);
+            }
+            if out.bound_types.is_some() {
+                std::mem::swap(&mut s.bound_types, &mut out.bound_types);
+            }
+            s.mid_apply -= out.resolved;
+            s.waiting > 0
+        };
+        if wake {
+            #[cfg(test)]
+            self.notifies
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.moved.notify_all();
+        }
+    }
+
+    /// Queues an operation, assigning it a journal lifecycle id and
+    /// emitting the `Enqueued` event when tracing is on — before the push,
+    /// so no pause can journal a phase ahead of it. A staged patch whose
+    /// stage cost nobody has claimed yet is claimed by this lifecycle:
+    /// `Staged` follows `Enqueued`, carrying the duration the report's
+    /// `timings.staged` will.
+    fn enqueue(&self, kind: OpKind) {
+        let t = self.lock().trace.clone();
+        let update = match &t {
+            Some(t) => t.journal.next_update_id(),
+            None => 0,
+        };
+        let stage_cost = match &kind {
+            OpKind::Apply { staged, .. } => staged.claim_cost(),
+            OpKind::Restore { .. } => None,
+        };
+        let queued = QueuedOp {
+            update,
+            kind,
+            stage_cost: stage_cost.unwrap_or_default(),
+        };
+        if let Some(t) = &t {
+            let (from, to) = (queued.version_from(), queued.version_to());
+            t.journal
+                .record(t.worker, update, from, to, Stage::Enqueued, None, None);
+            if stage_cost.is_some() {
+                t.journal
+                    .record(t.worker, update, from, to, Stage::Staged, stage_cost, None);
+            }
+        }
+        self.lock().queue.push_back(queued);
+    }
+
+    /// Queues up to `hops` snapshot restores walking the ring's retained
+    /// transitions backwards (newest first). Each hop's versions are
+    /// resolved now so every journal lifecycle names its own leg of the
+    /// chain; apply pops the real ring sequentially, so the hops line up
+    /// as long as nothing else races the ring. Returns the number of hops
+    /// actually queued (clamped to the ring's length).
+    fn enqueue_restores(&self, hops: usize) -> usize {
+        let legs: Vec<(String, String)> = {
+            let s = self.lock();
+            s.transitions.iter().rev().take(hops).cloned().collect()
+        };
+        for (from, to) in &legs {
+            self.enqueue(OpKind::Restore {
+                from: to.clone(),
+                to: from.clone(),
+            });
+        }
+        legs.len()
+    }
+
+    /// Queues one snapshot restore of the ring's top transition — or,
+    /// over an empty ring, a restore of `"?" -> "?"` that will abort with
+    /// `NoSnapshot` at apply time.
+    fn enqueue_restore(&self) {
+        if self.enqueue_restores(1) == 0 {
+            self.enqueue(OpKind::Restore {
+                from: "?".to_string(),
+                to: "?".to_string(),
+            });
+        }
+    }
+}
+
 /// Errors surfaced by the driver loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
@@ -227,45 +419,17 @@ impl From<Trap> for RunError {
     }
 }
 
-/// Manages pending dynamic patches for one process.
+/// Manages pending dynamic patches for one process: the worker thread's
+/// view of the monitor, plus what only that thread touches.
 #[derive(Default)]
 pub struct Updater {
     policy: UpdatePolicy,
-    pending: Arc<Mutex<VecDeque<QueuedOp>>>,
-    /// Ops popped off `pending` whose outcome (report or failure) is not
-    /// published yet — i.e. mid-apply. Shared with remotes and counted
-    /// into [`Updater::pending_count`], so a coordinator waiting for
-    /// "pending == 0 and the counts moved" can never observe the window
-    /// where an op is out of the queue but its result is invisible.
-    in_flight: Arc<AtomicUsize>,
-    /// Wakes coordinators blocked in [`UpdaterRemote::wait_until`].
-    outcomes: Arc<OutcomeSignal>,
-    log: Arc<Mutex<Vec<UpdateReport>>>,
-    /// Failures of patches that did not apply (the run continues), with
-    /// version-transition and failing-phase context attached.
-    failures: Arc<Mutex<Vec<FailedUpdate>>>,
-    /// Update pauses, shared with host instrumentation.
-    pauses: PauseLog,
-    /// One-shot rendezvous for the next pause (coordinated rollouts).
-    gate: Arc<Mutex<Option<Gate>>>,
+    shared: Arc<Shared>,
     /// Persistent quiescence hook run at the start of every pause.
-    drain_hook: Arc<Mutex<Option<DrainHook>>>,
+    drain_hook: Option<DrainHook>,
     /// Bounded ring of pre-update snapshots, pushed on every successful
-    /// forward apply — the substrate of first-class rollback. Never
-    /// shared with remotes: snapshots hold `Rc` guest values and must
-    /// stay on the worker thread.
-    snapshots: Arc<Mutex<SnapshotRing>>,
-    /// Send-safe mirror of the ring's `(from, to)` transitions, kept in
-    /// sync on every ring mutation and shared with remotes so a
-    /// coordinator can see what a snapshot rollback would undo.
-    transitions: Arc<Mutex<Vec<(String, String)>>>,
-    /// Send-safe mirror of the process's bound type definitions, shared
-    /// with remotes so a coordinator can stage a patch against them:
-    /// seeded by [`Updater::remote`], refreshed before the outcome publish
-    /// by any pause that changed a type binding. Advisory only — commit
-    /// checks the certificate against the process itself, so a mirror
-    /// that lags costs a re-verification, never safety.
-    bound_types: Arc<BoundTypes>,
+    /// forward apply — the substrate of first-class rollback.
+    snapshots: SnapshotRing,
     /// Net forward patch path from the boot version to the current
     /// version: every successful forward apply pushes its patch, every
     /// successful rollback (inverse patch or snapshot restore) pops the
@@ -273,14 +437,6 @@ pub struct Updater {
     /// path, so a supervisor can rebuild a crashed worker from source by
     /// replaying it (see [`Updater::save_worker_state`]).
     chain: Vec<Arc<StagedPatch>>,
-    /// Lifecycle-event destination, shared with remotes (None = tracing
-    /// off, the default — enqueues and applies cost nothing extra).
-    trace: Arc<Mutex<Option<Trace>>>,
-    /// Propagated rollout span context `(trace, span)`: when set (by a
-    /// fleet coordinator through the remote), update spans this worker
-    /// records parent under that rollout span instead of opening fresh
-    /// traces. Persists until overwritten by the next rollout.
-    span_parent: Arc<Mutex<Option<(u64, u64)>>>,
     /// When `true` (default), a patch failure during a run aborts the run
     /// with [`RunError::Update`] instead of continuing on the old version.
     pub strict: bool,
@@ -288,11 +444,12 @@ pub struct Updater {
 
 impl std::fmt::Debug for Updater {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = self.shared.lock().progress();
         f.debug_struct("Updater")
             .field("policy", &self.policy)
-            .field("pending", &self.pending_count())
-            .field("applied", &self.log.lock().expect("poisoned").len())
-            .field("failures", &self.failures.lock().expect("poisoned").len())
+            .field("pending", &p.pending)
+            .field("applied", &p.applied)
+            .field("failures", &p.failed)
             .finish()
     }
 }
@@ -325,7 +482,7 @@ impl Updater {
     /// waits, the six apply phases, committed/aborted — tagged with
     /// `worker` when given.
     pub fn set_journal(&self, journal: Journal, worker: Option<usize>) {
-        *self.trace.lock().expect("poisoned") = Some(Trace {
+        self.shared.lock().trace = Some(Trace {
             journal,
             worker,
             tracer: None,
@@ -338,7 +495,7 @@ impl Updater {
     /// the `(trace, span)` cross-link. No-op until a journal is attached
     /// — the journal supplies the lifecycle ids spans are tagged with.
     pub fn set_tracer(&self, tracer: Tracer) {
-        if let Some(t) = self.trace.lock().expect("poisoned").as_mut() {
+        if let Some(t) = self.shared.lock().trace.as_mut() {
             t.tracer = Some(tracer);
         }
     }
@@ -347,17 +504,8 @@ impl Updater {
     /// update pause, before the rollout gate and before any patch applies.
     /// The measured wait lands in the first applied patch's
     /// [`crate::PhaseTimings::drain`] bucket.
-    pub fn set_drain_hook(&self, hook: DrainHook) {
-        *self.drain_hook.lock().expect("poisoned") = Some(hook);
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<Journal> {
-        self.trace
-            .lock()
-            .expect("poisoned")
-            .as_ref()
-            .map(|t| t.journal.clone())
+    pub fn set_drain_hook(&mut self, hook: DrainHook) {
+        self.drain_hook = Some(hook);
     }
 
     /// Stages `patch` against `proc`'s bound types — here, in the call,
@@ -373,11 +521,10 @@ impl Updater {
     /// one staged value can be enqueued on any number of processes) and
     /// arms the process's update request.
     pub fn enqueue_staged(&mut self, proc: &mut Process, staged: Arc<StagedPatch>) {
-        let kind = OpKind::Apply {
+        self.shared.enqueue(OpKind::Apply {
             staged,
             rollback: false,
-        };
-        enqueue_traced(&self.pending, &self.trace, kind);
+        });
         proc.request_update(true);
     }
 
@@ -388,11 +535,10 @@ impl Updater {
     /// journal lifecycle closes with `RolledBack`. Staged in the call,
     /// like [`Updater::enqueue`].
     pub fn enqueue_rollback(&mut self, proc: &mut Process, patch: Patch) {
-        let kind = OpKind::Apply {
+        self.shared.enqueue(OpKind::Apply {
             staged: stage(patch, &ProcessTypes(proc), self.policy),
             rollback: true,
-        };
-        enqueue_traced(&self.pending, &self.trace, kind);
+        });
         proc.request_update(true);
     }
 
@@ -401,8 +547,7 @@ impl Updater {
     /// mutations since the forward update are discarded). Aborts with
     /// [`UpdateError::NoSnapshot`] when the ring is empty at apply time.
     pub fn enqueue_snapshot_rollback(&mut self, proc: &mut Process) {
-        let (from, to) = rollback_transition(&self.transitions);
-        enqueue_traced(&self.pending, &self.trace, OpKind::Restore { from, to });
+        self.shared.enqueue_restore();
         proc.request_update(true);
     }
 
@@ -412,32 +557,25 @@ impl Updater {
     /// is its own journal lifecycle closing with `RolledBack`. Clamped to
     /// the ring's current length; returns how many hops were queued.
     pub fn enqueue_rollback_chain(&mut self, proc: &mut Process, hops: usize) -> usize {
-        let n = enqueue_chain(&self.pending, &self.trace, &self.transitions, hops);
+        let n = self.shared.enqueue_restores(hops);
         if n > 0 {
             proc.request_update(true);
         }
         n
     }
 
-    /// Resizes the snapshot ring (discarding currently retained
-    /// snapshots). Depth 0 disables retention; the default is
-    /// [`crate::rollback::DEFAULT_SNAPSHOT_DEPTH`].
-    pub fn set_snapshot_depth(&self, depth: usize) {
-        *self.snapshots.lock().expect("poisoned") = SnapshotRing::new(depth);
-        self.transitions.lock().expect("poisoned").clear();
-    }
-
     /// The `(from, to)` transitions whose pre-update snapshots the ring
     /// currently retains, oldest first.
     pub fn snapshot_transitions(&self) -> Vec<(String, String)> {
-        self.transitions.lock().expect("poisoned").clone()
+        self.snapshots.transitions()
     }
 
     /// Number of operations not yet fully applied: queued patches plus
-    /// the op currently mid-apply, if any. Zero means every submitted
-    /// op's outcome is visible in [`Updater::log`] / [`Updater::failures`].
+    /// any the running pause has popped and not published. Zero means
+    /// every submitted op's outcome is visible in [`Updater::log`] /
+    /// [`Updater::failures`].
     pub fn pending_count(&self) -> usize {
-        self.pending.lock().expect("poisoned").len() + self.in_flight.load(Ordering::SeqCst)
+        self.shared.lock().progress().pending
     }
 
     /// Serializes the updater's crash-durable state — the snapshot ring
@@ -447,26 +585,23 @@ impl Updater {
     /// Patches are saved bare: what was staged for them is not persisted.
     pub fn save_state(&self) -> String {
         let mut out = String::from("dsu-updater-state 1\n");
-        let ring_text = self.snapshots.lock().expect("poisoned").save();
-        out.push_str(&format!("ring {}\n", ring_text.len()));
-        out.push_str(&ring_text);
-        for q in self.pending.lock().expect("poisoned").iter() {
-            match &q.kind {
+        push_section(&mut out, "ring", &self.snapshots.save());
+        // Cloned out (an `Arc` and two short strings per op): patches are
+        // not serialized under the lock.
+        let ops: Vec<OpKind> = {
+            let s = self.shared.lock();
+            s.queue.iter().map(|q| q.kind.clone()).collect()
+        };
+        for kind in &ops {
+            match kind {
                 OpKind::Restore { from, to } => {
                     out.push_str(&format!("op-restore\t{from}\t{to}\n"));
                 }
-                OpKind::Apply { staged, rollback } => {
-                    let text = crate::patch_io::save_patch(staged.patch());
-                    out.push_str(&format!(
-                        "op-apply {} {}\n",
-                        u8::from(*rollback),
-                        text.len()
-                    ));
-                    out.push_str(&text);
-                    if !text.ends_with('\n') {
-                        out.push('\n');
-                    }
-                }
+                OpKind::Apply { staged, rollback } => push_section(
+                    &mut out,
+                    &format!("op-apply {}", u8::from(*rollback)),
+                    &crate::patch_io::save_patch(staged.patch()),
+                ),
             }
         }
         out
@@ -481,23 +616,22 @@ impl Updater {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed section; on error the
-    /// updater is left unchanged.
+    /// Returns a description of the first malformed section, or of the
+    /// first ring entry that does not fit `proc` (see
+    /// [`vm::BindingSnapshot::fits`]) — a restore of such an entry would
+    /// index outside the process's tables in the middle of a pause. On
+    /// error the updater is left unchanged.
     pub fn load_state(&mut self, proc: &mut Process, text: &str) -> Result<usize, String> {
         let rest = text
             .strip_prefix("dsu-updater-state 1\n")
             .ok_or("bad header")?;
         let (ring_line, rest) = rest.split_once('\n').ok_or("missing ring section")?;
-        let ring_len: usize = ring_line
+        let ring_len = ring_line
             .strip_prefix("ring ")
-            .ok_or("missing ring section")?
-            .parse()
-            .map_err(|e| format!("bad ring length: {e}"))?;
-        if rest.len() < ring_len {
-            return Err("truncated ring section".to_string());
-        }
-        let ring = SnapshotRing::load(&rest[..ring_len])?;
-        let mut rest = &rest[ring_len..];
+            .ok_or("missing ring section")?;
+        let (ring_text, mut rest) = take_section(rest, ring_len, "ring")?;
+        let ring = SnapshotRing::load(ring_text)?;
+        ring.fits(proc)?;
 
         // Parse every op before touching the updater, so a malformed tail
         // cannot leave it half-restored.
@@ -523,13 +657,9 @@ impl Updater {
                     "1" => true,
                     other => return Err(format!("bad rollback flag `{other}`")),
                 };
-                let len: usize = len.parse().map_err(|e| format!("bad patch length: {e}"))?;
-                if rest.len() < len {
-                    return Err("truncated patch section".to_string());
-                }
-                let patch = crate::patch_io::load_patch(&rest[..len]).map_err(|e| e.to_string())?;
-                rest = &rest[len..];
-                rest = rest.strip_prefix('\n').unwrap_or(rest);
+                let (patch_text, tail) = take_section(rest, len, "patch")?;
+                let patch = crate::patch_io::load_patch(patch_text).map_err(|e| e.to_string())?;
+                rest = tail;
                 ops.push(OpKind::Apply {
                     staged: Arc::new(StagedPatch::unstaged(patch)),
                     rollback,
@@ -539,27 +669,19 @@ impl Updater {
             }
         }
 
-        *self.transitions.lock().expect("poisoned") = ring.transitions();
-        *self.snapshots.lock().expect("poisoned") = ring;
+        self.shared.publish(Publication {
+            transitions: Some(ring.transitions()),
+            ..Publication::default()
+        });
+        self.snapshots = ring;
         let n = ops.len();
         for kind in ops {
-            enqueue_traced(&self.pending, &self.trace, kind);
+            self.shared.enqueue(kind);
         }
         if n > 0 {
             proc.request_update(true);
         }
         Ok(n)
-    }
-
-    /// The `(from, to)` hops of the replay chain (boot version → current
-    /// version), oldest first. Empty when the process still runs the
-    /// version it booted with.
-    pub fn chain_transitions(&self) -> Vec<(String, String)> {
-        self.chain
-            .iter()
-            .map(|s| s.patch())
-            .map(|p| (p.from_version.clone(), p.to_version.clone()))
-            .collect()
     }
 
     /// Serializes everything a supervisor needs to rebuild this worker
@@ -573,68 +695,52 @@ impl Updater {
         let mut out = String::from("dsu-worker-state 1\n");
         out.push_str(&format!("chain {}\n", self.chain.len()));
         for s in &self.chain {
-            let text = crate::patch_io::save_patch(s.patch());
-            out.push_str(&format!("patch {}\n", text.len()));
-            out.push_str(&text);
-            if !text.ends_with('\n') {
-                out.push('\n');
-            }
+            push_section(&mut out, "patch", &crate::patch_io::save_patch(s.patch()));
         }
-        let inner = self.save_state();
-        out.push_str(&format!("state {}\n", inner.len()));
-        out.push_str(&inner);
+        push_section(&mut out, "state", &self.save_state());
         out
     }
 
     /// Reports of every successfully applied update, oldest first.
     pub fn log(&self) -> Vec<UpdateReport> {
-        self.log.lock().expect("poisoned").clone()
+        self.shared.lock().reports.clone()
     }
 
     /// Successful applies so far.
     pub fn applied_count(&self) -> usize {
-        self.log.lock().expect("poisoned").len()
+        self.shared.lock().reports.len()
     }
 
     /// Failed applies so far (non-strict mode).
     pub fn failure_count(&self) -> usize {
-        self.failures.lock().expect("poisoned").len()
+        self.shared.lock().failures.len()
     }
 
     /// Failures of patches that did not apply (non-strict mode), with
     /// version and failing-phase context.
     pub fn failures(&self) -> Vec<FailedUpdate> {
-        self.failures.lock().expect("poisoned").clone()
+        self.shared.lock().failures.clone()
     }
 
-    /// A shared handle onto the pause log. Clones observe pauses recorded
-    /// by future applies.
+    /// A read-only handle onto the pause history. Clones observe pauses
+    /// published by future applies.
     pub fn pause_log(&self) -> PauseLog {
-        Arc::clone(&self.pauses)
+        PauseLog(Arc::clone(&self.shared))
     }
 
     /// Update pauses recorded so far, oldest first.
     pub fn pauses(&self) -> Vec<PauseEvent> {
-        self.pauses.lock().expect("poisoned").clone()
+        self.shared.lock().pauses.clone()
     }
 
     /// A cross-thread control handle for this updater driving `proc`: feed
     /// patches, arm the update signal, set rollout gates, read results.
     pub fn remote(&self, proc: &Process) -> UpdaterRemote {
-        *self.bound_types.lock().expect("poisoned") = Some(Arc::new(bound_types(proc)));
+        let types = Arc::new(bound_types(proc));
+        self.shared.lock().bound_types = Some(types);
         UpdaterRemote {
             policy: self.policy,
-            bound_types: Arc::clone(&self.bound_types),
-            pending: Arc::clone(&self.pending),
-            in_flight: Arc::clone(&self.in_flight),
-            outcomes: Arc::clone(&self.outcomes),
-            log: Arc::clone(&self.log),
-            failures: Arc::clone(&self.failures),
-            pauses: Arc::clone(&self.pauses),
-            gate: Arc::clone(&self.gate),
-            trace: Arc::clone(&self.trace),
-            span_parent: Arc::clone(&self.span_parent),
-            transitions: Arc::clone(&self.transitions),
+            shared: Arc::clone(&self.shared),
             signal: proc.update_signal(),
         }
     }
@@ -650,259 +756,31 @@ impl Updater {
     /// patches stay queued). Otherwise failures are recorded in
     /// [`Updater::failures`] and the queue keeps draining.
     pub fn apply_pending(&mut self, proc: &mut Process) -> Result<usize, UpdateError> {
-        if self.pending.lock().expect("poisoned").is_empty() {
-            proc.request_update(false);
-            return Ok(0);
-        }
-        let began = Instant::now();
-        let trace = self.trace.lock().expect("poisoned").clone();
-        // Span ids are allocated up front so the gate-wait journal event
-        // below can cross-link to the root span the pause's first applied
-        // patch will record.
-        let mut span_ctx = trace
-            .as_ref()
-            .and_then(|t| t.tracer.clone().map(|tr| (tr, t.worker)))
-            .map(|(tracer, worker)| {
-                let (trace_id, parent) = match *self.span_parent.lock().expect("poisoned") {
-                    Some((t, p)) => (t, Some(p)),
-                    None => (tracer.next_trace_id(), None),
-                };
-                let head_root = tracer.next_span_id();
-                SpanCtx {
-                    tracer,
-                    worker,
-                    trace_id,
-                    parent,
-                    head_root,
-                    head_used: false,
-                }
-            });
-        // The host's drain hook runs before the rendezvous: in a barriered
-        // fleet every worker does its own waiting concurrently, then they
-        // line up. The wait is timed here so the report and the journal
-        // agree on it exactly.
-        let drain_dur = {
-            let mut hook = self.drain_hook.lock().expect("poisoned");
-            match hook.as_mut() {
-                Some(h) => {
-                    let t = Instant::now();
-                    h();
-                    t.elapsed()
-                }
-                None => Duration::ZERO,
+        let (trace, span_parent, gate, types) = {
+            let mut s = self.shared.lock();
+            if s.queue.is_empty() {
+                drop(s);
+                proc.request_update(false);
+                return Ok(0);
             }
+            (
+                s.trace.clone(),
+                s.span_parent,
+                s.gate.take(),
+                s.bound_types.clone(),
+            )
         };
-        // Rendezvous before touching the process (one-shot); the wait is
-        // part of the pause, not of any request's service time.
-        let gate = self.gate.lock().expect("poisoned").take();
-        let mut gate_span: Option<(Instant, Duration)> = None;
-        if let Some(gate) = gate {
-            let gate_began = Instant::now();
-            gate();
-            let gate_dur = gate_began.elapsed();
-            gate_span = Some((gate_began, gate_dur));
-            if let Some(t) = &trace {
-                // The wait is charged to the patch at the head of the
-                // queue — the one the rendezvous was lining up for.
-                let head = self.pending.lock().expect("poisoned").front().map(|q| {
-                    (
-                        q.update,
-                        q.version_from().to_string(),
-                        q.version_to().to_string(),
-                    )
-                });
-                if let Some((update, from, to)) = head {
-                    t.journal.record_spanned(
-                        t.worker,
-                        update,
-                        &from,
-                        &to,
-                        Stage::GateWait,
-                        Some(gate_dur),
-                        None,
-                        span_ctx.as_ref().map(|c| (c.trace_id, c.head_root)),
-                    );
-                }
-            }
-        }
-        let result = self.drain(proc, drain_dur, began, gate_span, &mut span_ctx);
-        self.publish_bound_types(proc);
-        self.pauses.lock().expect("poisoned").push(PauseEvent {
-            at: began,
-            dur: began.elapsed(),
-        });
-        // Publish last: every report and failure is in its log, the
-        // in-flight count has dropped and the pause event is recorded, so
-        // a woken waiter finds all of it.
-        self.outcomes.publish();
-        result
-    }
-
-    /// Refreshes the remotes' view of the bound types when this pause
-    /// changed one (a patch that bound a type name, a restore that took
-    /// one back). Compares before it copies: the usual pause changes none.
-    fn publish_bound_types(&self, proc: &Process) {
-        let mut published = self.bound_types.lock().expect("poisoned");
-        let Some(view) = published.as_ref() else {
-            return;
+        // Armed before anything can fail: from here on every way out —
+        // return, strict error, panic — publishes exactly once.
+        let mut pause = Pause {
+            up: self,
+            proc,
+            began: Instant::now(),
+            types,
+            ring_moved: false,
+            out: Publication::default(),
         };
-        let unchanged = proc.type_bindings().count() == view.len()
-            && proc
-                .type_bindings()
-                .all(|(name, id)| view.get(name) == Some(proc.struct_def(id)));
-        if !unchanged {
-            *published = Some(Arc::new(bound_types(proc)));
-        }
-    }
-
-    fn drain(
-        &mut self,
-        proc: &mut Process,
-        mut drain_dur: Duration,
-        pause_began: Instant,
-        gate_span: Option<(Instant, Duration)>,
-        span_ctx: &mut Option<SpanCtx>,
-    ) -> Result<usize, UpdateError> {
-        let mut applied = 0;
-        let trace = self.trace.lock().expect("poisoned").clone();
-        loop {
-            let queued = self.pending.lock().expect("poisoned").pop_front();
-            let Some(queued) = queued else { break };
-            // The op is out of the queue but its outcome is not published
-            // yet: keep it counted in `pending_count` until the end of
-            // this iteration, after the report or failure lands. The
-            // guard also covers the panic path — the count drops during
-            // unwind, after the `Aborted` lifecycle is recorded.
-            let _in_flight = InFlightGuard::arm(&self.in_flight);
-            let op_began = Instant::now();
-            let mut phase_log = span_ctx.as_ref().map(|_| PhaseSpanLog::default());
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &queued.kind {
-                    OpKind::Apply { staged, rollback } => staged
-                        .commit_spanned(proc, self.policy, phase_log.as_mut())
-                        .map(|Committed { mut report, before }| {
-                            report.rolled_back = *rollback;
-                            // The commit's own pre-update snapshot feeds
-                            // the rollback ring (a depth-0 ring drops it):
-                            // forward applies record it, rollbacks retire
-                            // the entry they undo instead.
-                            let patch = staged.patch();
-                            let mut ring = self.snapshots.lock().expect("poisoned");
-                            if *rollback {
-                                ring.retire_undone(&patch.from_version);
-                            } else {
-                                ring.push(&patch.from_version, &patch.to_version, before);
-                            }
-                            *self.transitions.lock().expect("poisoned") = ring.transitions();
-                            report
-                        }),
-                    OpKind::Restore { .. } => {
-                        // A snapshot restore is pure rebinding: the whole
-                        // pause is charged to `bind`, the atomic-flip phase.
-                        let t = Instant::now();
-                        let entry = {
-                            let mut ring = self.snapshots.lock().expect("poisoned");
-                            let entry = ring.pop();
-                            *self.transitions.lock().expect("poisoned") = ring.transitions();
-                            entry
-                        };
-                        match entry {
-                            None => Err(UpdateError::NoSnapshot),
-                            Some(entry) => {
-                                proc.restore(entry.snapshot);
-                                let timings = PhaseTimings {
-                                    bind: t.elapsed(),
-                                    ..PhaseTimings::default()
-                                };
-                                if let Some(log) = phase_log.as_mut() {
-                                    log.push("bind", t, timings.bind);
-                                }
-                                Ok(UpdateReport {
-                                    from_version: entry.to_version,
-                                    to_version: entry.from_version,
-                                    timings,
-                                    verification: Verification::Skipped,
-                                    functions_replaced: 0,
-                                    functions_added: 0,
-                                    functions_removed: 0,
-                                    types_changed: 0,
-                                    globals_transformed: 0,
-                                    patch_bytes: 0,
-                                    rolled_back: true,
-                                })
-                            }
-                        }
-                    }
-                }));
-            let result = match outcome {
-                Ok(r) => r,
-                Err(payload) => {
-                    // A panic mid-apply (crash injection, or a genuine
-                    // bug) is about to kill this thread. The journal must
-                    // not be left with a dangling open lifecycle, so
-                    // close the in-flight op with `Aborted` first, then
-                    // let the panic keep unwinding to the worker
-                    // boundary — the supervisor sees a dead thread, the
-                    // journal sees a closed lifecycle.
-                    if let Some(t) = &trace {
-                        t.journal.record(
-                            t.worker,
-                            queued.update,
-                            queued.version_from(),
-                            queued.version_to(),
-                            Stage::Aborted,
-                            None,
-                            Some(&format!("crashed: {}", panic_detail(payload.as_ref()))),
-                        );
-                    }
-                    std::panic::resume_unwind(payload);
-                }
-            };
-            match result {
-                Ok(mut report) => {
-                    // The quiescence wait is charged once, to the first
-                    // patch this pause applies.
-                    report.timings.drain += std::mem::take(&mut drain_dur);
-                    report.timings.staged = queued.stage_cost;
-                    self.record_chain_hop(queued.kind, &report);
-                    let link = span_ctx.as_mut().map(|ctx| {
-                        record_update_spans(
-                            ctx,
-                            queued.update,
-                            &report,
-                            pause_began,
-                            op_began,
-                            gate_span,
-                            phase_log.as_ref().expect("span ctx implies phase log"),
-                        )
-                    });
-                    if let Some(t) = &trace {
-                        emit_applied(t, queued.update, &report, link);
-                    }
-                    self.log.lock().expect("poisoned").push(report);
-                    applied += 1;
-                }
-                Err(e) => {
-                    if let Some(t) = &trace {
-                        emit_aborted(t, &queued, &e);
-                    }
-                    if self.strict {
-                        proc.request_update(!self.pending.lock().expect("poisoned").is_empty());
-                        return Err(e);
-                    }
-                    self.failures
-                        .lock()
-                        .expect("poisoned")
-                        .push(FailedUpdate::new(
-                            queued.version_from(),
-                            queued.version_to(),
-                            e,
-                        ));
-                }
-            }
-        }
-        proc.request_update(false);
-        Ok(applied)
+        pause.run(trace.as_ref(), span_parent, gate)
     }
 
     /// Mirrors a successful op into the replay chain: forward applies
@@ -954,21 +832,253 @@ impl Updater {
     }
 }
 
-/// Holds one mid-apply op inside [`Updater::pending_count`] from its pop
-/// off the queue until its outcome is published (normally, on an early
-/// strict-mode return, or during a panic unwind alike).
-struct InFlightGuard(Arc<AtomicUsize>);
+/// One update pause in progress. Results collect in `out`, off the lock,
+/// and dropping the pause — on return, on a strict-mode error, during a
+/// panic's unwind — is its single publish: its reports and failures, its
+/// [`PauseEvent`], the ring's transitions if the ring moved, the bound
+/// types if a binding changed, and the mid-apply count lowered by every
+/// op it popped (a panicking op's lifecycle is journaled `Aborted` first).
+struct Pause<'a> {
+    up: &'a mut Updater,
+    proc: &'a mut Process,
+    began: Instant,
+    /// The bound-type view remotes held when the pause began (`None`: no
+    /// remote exists, nothing to refresh).
+    types: Option<Arc<BTreeMap<String, TypeDef>>>,
+    ring_moved: bool,
+    out: Publication,
+}
 
-impl InFlightGuard {
-    fn arm(count: &Arc<AtomicUsize>) -> InFlightGuard {
-        count.fetch_add(1, Ordering::SeqCst);
-        InFlightGuard(Arc::clone(count))
+impl Drop for Pause<'_> {
+    fn drop(&mut self) {
+        // Compared before copied: the usual pause changes no type binding.
+        let proc = &*self.proc;
+        let rebound = self.types.as_ref().is_some_and(|view| {
+            proc.type_bindings().count() != view.len()
+                || proc
+                    .type_bindings()
+                    .any(|(name, id)| view.get(name) != Some(proc.struct_def(id)))
+        });
+        self.out.bound_types = rebound.then(|| Arc::new(bound_types(proc)));
+        self.out.transitions = self.ring_moved.then(|| self.up.snapshots.transitions());
+        self.out.pause = Some(PauseEvent {
+            at: self.began,
+            dur: self.began.elapsed(),
+        });
+        self.up.shared.publish(std::mem::take(&mut self.out));
     }
 }
 
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+impl Pause<'_> {
+    /// The pause proper: drain hook, gate, then the queue.
+    fn run(
+        &mut self,
+        trace: Option<&Trace>,
+        span_parent: Option<(u64, u64)>,
+        gate: Option<Gate>,
+    ) -> Result<usize, UpdateError> {
+        // Span ids are allocated up front so the gate-wait journal event
+        // below can cross-link to the root span the pause's first applied
+        // patch will record.
+        let mut span_ctx = trace
+            .and_then(|t| t.tracer.clone().map(|tr| (tr, t.worker)))
+            .map(|(tracer, worker)| {
+                let (trace_id, parent) = match span_parent {
+                    Some((t, p)) => (t, Some(p)),
+                    None => (tracer.next_trace_id(), None),
+                };
+                let head_root = tracer.next_span_id();
+                SpanCtx {
+                    tracer,
+                    worker,
+                    trace_id,
+                    parent,
+                    head_root,
+                    head_used: false,
+                }
+            });
+        // The host's drain hook runs before the rendezvous: in a barriered
+        // fleet every worker does its own waiting concurrently, then they
+        // line up. The wait is timed here so the report and the journal
+        // agree on it exactly.
+        let drain_dur = match self.up.drain_hook.as_mut() {
+            Some(hook) => {
+                let t = Instant::now();
+                hook();
+                t.elapsed()
+            }
+            None => Duration::ZERO,
+        };
+        // Rendezvous before touching the process (one-shot); the wait is
+        // part of the pause, not of any request's service time.
+        let mut gate_span: Option<(Instant, Duration)> = None;
+        if let Some(gate) = gate {
+            let gate_began = Instant::now();
+            gate();
+            let gate_dur = gate_began.elapsed();
+            gate_span = Some((gate_began, gate_dur));
+            if let Some(t) = trace {
+                // The wait is charged to the patch at the head of the
+                // queue — the one the rendezvous was lining up for. Read
+                // after the wait: a patch withdrawn meanwhile is closed.
+                let head = self.up.shared.lock().queue.front().map(|q| {
+                    (
+                        q.update,
+                        q.version_from().to_string(),
+                        q.version_to().to_string(),
+                    )
+                });
+                if let Some((update, from, to)) = head {
+                    t.journal.record_spanned(
+                        t.worker,
+                        update,
+                        &from,
+                        &to,
+                        Stage::GateWait,
+                        Some(gate_dur),
+                        None,
+                        span_ctx.as_ref().map(|c| (c.trace_id, c.head_root)),
+                    );
+                }
+            }
+        }
+        self.drain(trace, drain_dur, gate_span, &mut span_ctx)
+    }
+
+    fn drain(
+        &mut self,
+        trace: Option<&Trace>,
+        mut drain_dur: Duration,
+        gate_span: Option<(Instant, Duration)>,
+        span_ctx: &mut Option<SpanCtx>,
+    ) -> Result<usize, UpdateError> {
+        loop {
+            // Out of the queue and into the mid-apply count in one
+            // critical section: the op stays in `pending_count` until this
+            // pause publishes.
+            let queued = {
+                let mut s = self.up.shared.lock();
+                let queued = s.queue.pop_front();
+                s.mid_apply += usize::from(queued.is_some());
+                queued
+            };
+            let Some(queued) = queued else { break };
+            self.out.resolved += 1;
+            let op_began = Instant::now();
+            let mut phase_log = span_ctx.as_ref().map(|_| PhaseSpanLog::default());
+            let kind = &queued.kind;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match kind {
+                OpKind::Apply { staged, rollback } => staged
+                    .commit_spanned(self.proc, self.up.policy, phase_log.as_mut())
+                    .map(|Committed { mut report, before }| {
+                        report.rolled_back = *rollback;
+                        // The commit's own pre-update snapshot feeds
+                        // the rollback ring (a depth-0 ring drops it):
+                        // forward applies record it, rollbacks retire
+                        // the entry they undo instead.
+                        let patch = staged.patch();
+                        if *rollback {
+                            self.up.snapshots.retire_undone(&patch.from_version);
+                        } else {
+                            self.up
+                                .snapshots
+                                .push(&patch.from_version, &patch.to_version, before);
+                        }
+                        self.ring_moved = true;
+                        report
+                    }),
+                OpKind::Restore { .. } => {
+                    // A snapshot restore is pure rebinding: the whole
+                    // pause is charged to `bind`, the atomic-flip phase.
+                    let t = Instant::now();
+                    match self.up.snapshots.pop() {
+                        None => Err(UpdateError::NoSnapshot),
+                        Some(entry) => {
+                            self.ring_moved = true;
+                            self.proc.restore(entry.snapshot);
+                            let timings = PhaseTimings {
+                                bind: t.elapsed(),
+                                ..PhaseTimings::default()
+                            };
+                            if let Some(log) = phase_log.as_mut() {
+                                log.push("bind", t, timings.bind);
+                            }
+                            Ok(UpdateReport {
+                                from_version: entry.to_version,
+                                to_version: entry.from_version,
+                                timings,
+                                verification: Verification::Skipped,
+                                functions_replaced: 0,
+                                functions_added: 0,
+                                functions_removed: 0,
+                                types_changed: 0,
+                                globals_transformed: 0,
+                                patch_bytes: 0,
+                                rolled_back: true,
+                            })
+                        }
+                    }
+                }
+            }));
+            let result = match outcome {
+                Ok(r) => r,
+                Err(payload) => {
+                    // A panic mid-apply (crash injection, or a genuine
+                    // bug) is about to kill this thread. The journal must
+                    // not be left with a dangling open lifecycle, so
+                    // close the in-flight op with `Aborted` first, then
+                    // let the panic keep unwinding to the worker
+                    // boundary — the supervisor sees a dead thread, the
+                    // journal sees a closed lifecycle.
+                    if let Some(t) = trace {
+                        let detail = format!("crashed: {}", panic_detail(payload.as_ref()));
+                        emit_aborted(t, &queued, &detail);
+                    }
+                    std::panic::resume_unwind(payload);
+                }
+            };
+            match result {
+                Ok(mut report) => {
+                    // The quiescence wait is charged once, to the first
+                    // patch this pause applies.
+                    report.timings.drain += std::mem::take(&mut drain_dur);
+                    report.timings.staged = queued.stage_cost;
+                    let link = span_ctx.as_mut().map(|ctx| {
+                        record_update_spans(
+                            ctx,
+                            queued.update,
+                            &report,
+                            self.began,
+                            op_began,
+                            gate_span,
+                            phase_log.as_ref().expect("span ctx implies phase log"),
+                        )
+                    });
+                    if let Some(t) = trace {
+                        emit_applied(t, queued.update, &report, link);
+                    }
+                    self.up.record_chain_hop(queued.kind, &report);
+                    self.out.reports.push(report);
+                }
+                Err(e) => {
+                    if let Some(t) = trace {
+                        emit_aborted(t, &queued, &format!("{}: {e}", e.phase()));
+                    }
+                    if self.up.strict {
+                        let more = !self.up.shared.lock().queue.is_empty();
+                        self.proc.request_update(more);
+                        return Err(e);
+                    }
+                    self.out.failures.push(FailedUpdate::new(
+                        queued.version_from(),
+                        queued.version_to(),
+                        e,
+                    ));
+                }
+            }
+        }
+        self.proc.request_update(false);
+        Ok(self.out.reports.len())
     }
 }
 
@@ -1004,32 +1114,49 @@ pub fn decode_worker_state(text: &str) -> Result<(Vec<Patch>, String), String> {
         .ok_or("missing chain section")?
         .parse()
         .map_err(|e| format!("bad chain count: {e}"))?;
-    let mut chain = Vec::with_capacity(n);
+    // Every patch takes at least its length line: a count the remaining
+    // bytes cannot hold is refused before anything is sized by it.
+    if n > rest.len() {
+        return Err(format!(
+            "bad chain count: {n} patches in {} bytes",
+            rest.len()
+        ));
+    }
+    let mut chain = Vec::new();
     for _ in 0..n {
         let (pline, body) = rest.split_once('\n').ok_or("truncated patch line")?;
-        let len: usize = pline
-            .strip_prefix("patch ")
-            .ok_or("missing patch line")?
-            .parse()
-            .map_err(|e| format!("bad patch length: {e}"))?;
-        if body.len() < len {
-            return Err("truncated patch body".to_string());
-        }
-        let patch = crate::patch_io::load_patch(&body[..len]).map_err(|e| e.to_string())?;
-        let tail = &body[len..];
-        rest = tail.strip_prefix('\n').unwrap_or(tail);
-        chain.push(patch);
+        let len = pline.strip_prefix("patch ").ok_or("missing patch line")?;
+        let (patch_text, tail) = take_section(body, len, "patch")?;
+        chain.push(crate::patch_io::load_patch(patch_text).map_err(|e| e.to_string())?);
+        rest = tail;
     }
     let (sline, rest) = rest.split_once('\n').ok_or("missing state section")?;
-    let len: usize = sline
+    let len = sline
         .strip_prefix("state ")
-        .ok_or("missing state section")?
-        .parse()
-        .map_err(|e| format!("bad state length: {e}"))?;
-    if rest.len() < len {
-        return Err("truncated state section".to_string());
+        .ok_or("missing state section")?;
+    let (state, _) = take_section(rest, len, "state")?;
+    Ok((chain, state.to_string()))
+}
+
+/// Appends one length-prefixed section of the state formats: `header`
+/// and `text`'s byte length on a line, `text`, and the newline it lacks.
+fn push_section(out: &mut String, header: &str, text: &str) {
+    out.push_str(&format!("{header} {}\n", text.len()));
+    out.push_str(text);
+    if !text.ends_with('\n') {
+        out.push('\n');
     }
-    Ok((chain, rest[..len].to_string()))
+}
+
+/// Splits the section a length line announced off the front of `rest`,
+/// with the newline that may follow it. The length is hostile input: one
+/// that overruns `rest`, or lands inside a character, is an error.
+fn take_section<'a>(rest: &'a str, len: &str, what: &str) -> Result<(&'a str, &'a str), String> {
+    let len: usize = len.parse().map_err(|e| format!("bad {what} length: {e}"))?;
+    let (text, tail) = rest
+        .split_at_checked(len)
+        .ok_or_else(|| format!("truncated {what} section"))?;
+    Ok((text, tail.strip_prefix('\n').unwrap_or(tail)))
 }
 
 /// The type definitions `proc` binds right now, by name.
@@ -1037,105 +1164,6 @@ fn bound_types(proc: &Process) -> BTreeMap<String, TypeDef> {
     proc.type_bindings()
         .map(|(name, id)| (name.to_string(), proc.struct_def(id).clone()))
         .collect()
-}
-
-/// Queues an operation, assigning it a journal lifecycle id and emitting
-/// the `Enqueued` event when tracing is on (shared by [`Updater::enqueue`]
-/// and [`UpdaterRemote::enqueue`] and their rollback variants). A staged
-/// patch whose stage cost nobody has claimed yet is claimed by this
-/// lifecycle: `Staged` follows `Enqueued`, carrying the duration the
-/// report's `timings.staged` will.
-fn enqueue_traced(pending: &Mutex<VecDeque<QueuedOp>>, trace: &Mutex<Option<Trace>>, kind: OpKind) {
-    let t = trace.lock().expect("poisoned").clone();
-    let update = match &t {
-        Some(t) => t.journal.next_update_id(),
-        None => 0,
-    };
-    let stage_cost = match &kind {
-        OpKind::Apply { staged, .. } => staged.claim_cost(),
-        OpKind::Restore { .. } => None,
-    };
-    let queued = QueuedOp {
-        update,
-        kind,
-        stage_cost: stage_cost.unwrap_or_default(),
-    };
-    if let Some(t) = &t {
-        let (from, to) = (queued.version_from(), queued.version_to());
-        t.journal
-            .record(t.worker, update, from, to, Stage::Enqueued, None, None);
-        if stage_cost.is_some() {
-            t.journal
-                .record(t.worker, update, from, to, Stage::Staged, stage_cost, None);
-        }
-    }
-    pending.lock().expect("poisoned").push_back(queued);
-}
-
-/// The `(from, to)` a snapshot rollback enqueued *now* would report: the
-/// ring's top transition reversed, read from the Send-safe mirror. Falls
-/// back to `"?"` when the ring is empty (the apply will abort with
-/// `NoSnapshot`).
-fn rollback_transition(transitions: &Mutex<Vec<(String, String)>>) -> (String, String) {
-    transitions
-        .lock()
-        .expect("poisoned")
-        .last()
-        .map(|(from, to)| (to.clone(), from.clone()))
-        .unwrap_or_else(|| ("?".to_string(), "?".to_string()))
-}
-
-/// Queues up to `hops` snapshot restores walking the ring's retained
-/// transitions backwards (newest first). Each hop's versions are resolved
-/// now from the Send-safe mirror so every journal lifecycle names its own
-/// leg of the chain; apply pops the real ring sequentially, so the hops
-/// line up as long as nothing else races the ring. Returns the number of
-/// hops actually queued (clamped to the mirror's length).
-fn enqueue_chain(
-    pending: &Mutex<VecDeque<QueuedOp>>,
-    trace: &Mutex<Option<Trace>>,
-    transitions: &Mutex<Vec<(String, String)>>,
-    hops: usize,
-) -> usize {
-    let trans = transitions.lock().expect("poisoned").clone();
-    let n = hops.min(trans.len());
-    for (from, to) in trans.iter().rev().take(n) {
-        enqueue_traced(
-            pending,
-            trace,
-            OpKind::Restore {
-                from: to.clone(),
-                to: from.clone(),
-            },
-        );
-    }
-    n
-}
-
-/// Drains every queued operation without applying it, emitting an
-/// `Aborted` lifecycle event per operation when tracing is on. Used by a
-/// coordinator to withdraw patches from a worker that must not proceed
-/// (a held rollout, a stalled gate). Returns how many were cancelled.
-fn cancel_traced(
-    pending: &Mutex<VecDeque<QueuedOp>>,
-    trace: &Mutex<Option<Trace>>,
-    reason: &str,
-) -> usize {
-    let drained: Vec<QueuedOp> = pending.lock().expect("poisoned").drain(..).collect();
-    if let Some(t) = trace.lock().expect("poisoned").clone() {
-        for q in &drained {
-            t.journal.record(
-                t.worker,
-                q.update,
-                q.version_from(),
-                q.version_to(),
-                Stage::Aborted,
-                None,
-                Some(&format!("cancelled: {reason}")),
-            );
-        }
-    }
-    drained.len()
 }
 
 /// Records the span tree of one applied update: a root `Update` span
@@ -1273,8 +1301,9 @@ fn emit_applied(t: &Trace, update: u64, report: &UpdateReport, link: Option<(u64
     );
 }
 
-/// Emits `Aborted`, carrying the failing phase and cause.
-fn emit_aborted(t: &Trace, queued: &QueuedOp, error: &UpdateError) {
+/// Closes `queued`'s lifecycle with `Aborted`, carrying the cause: the
+/// failing phase and error, a crash, or a withdrawal.
+fn emit_aborted(t: &Trace, queued: &QueuedOp, detail: &str) {
     t.journal.record(
         t.worker,
         queued.update,
@@ -1282,39 +1311,30 @@ fn emit_aborted(t: &Trace, queued: &QueuedOp, error: &UpdateError) {
         queued.version_to(),
         Stage::Aborted,
         None,
-        Some(&format!("{}: {error}", error.phase())),
+        Some(detail),
     );
 }
-
 /// Cross-thread control over one worker's [`Updater`]/[`Process`] pair
-/// (see [`Updater::remote`]). All methods are safe to call while the
-/// worker thread is mid-run: patches land in the shared queue, the signal
-/// makes the guest suspend at its next update point, and results appear in
-/// the shared logs as the worker applies.
+/// (see [`Updater::remote`]): a coordinator's view of the same monitor.
+/// All methods are safe to call while the worker thread is mid-run:
+/// patches land in the queue, the signal makes the guest suspend at its
+/// next update point, and each pause's results appear — all at once —
+/// when the worker publishes it.
 #[derive(Clone)]
 pub struct UpdaterRemote {
     /// The worker's update policy (fixed when its updater was built).
     policy: UpdatePolicy,
-    bound_types: Arc<BoundTypes>,
-    pending: Arc<Mutex<VecDeque<QueuedOp>>>,
-    in_flight: Arc<AtomicUsize>,
-    outcomes: Arc<OutcomeSignal>,
-    log: Arc<Mutex<Vec<UpdateReport>>>,
-    failures: Arc<Mutex<Vec<FailedUpdate>>>,
-    pauses: PauseLog,
-    gate: Arc<Mutex<Option<Gate>>>,
-    trace: Arc<Mutex<Option<Trace>>>,
-    span_parent: Arc<Mutex<Option<(u64, u64)>>>,
-    transitions: Arc<Mutex<Vec<(String, String)>>>,
+    shared: Arc<Shared>,
     signal: UpdateSignal,
 }
 
 impl std::fmt::Debug for UpdaterRemote {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = self.shared.lock().progress();
         f.debug_struct("UpdaterRemote")
-            .field("pending", &self.pending_count())
-            .field("applied", &self.applied_count())
-            .field("failed", &self.failure_count())
+            .field("pending", &p.pending)
+            .field("applied", &p.applied)
+            .field("failed", &p.failed)
             .finish()
     }
 }
@@ -1329,9 +1349,8 @@ impl UpdaterRemote {
     /// by content at each one's update point, so a replica that binds
     /// other definitions simply verifies for itself.
     pub fn stage(&self, patch: Patch) -> Arc<StagedPatch> {
-        // Clone the view out: verification must not hold the lock a
-        // finishing pause takes to refresh it.
-        let types = self.bound_types.lock().expect("poisoned").clone();
+        // The view is cloned out: verification runs with the lock released.
+        let types = self.shared.lock().bound_types.clone();
         stage(patch, &*types.unwrap_or_default(), self.policy)
     }
 
@@ -1349,11 +1368,10 @@ impl UpdaterRemote {
     /// Staging once and enqueueing the same value fleet-wide is how a
     /// rollout pays for one verification, not one per worker.
     pub fn enqueue_staged(&self, staged: Arc<StagedPatch>) {
-        let kind = OpKind::Apply {
+        self.shared.enqueue(OpKind::Apply {
             staged,
             rollback: false,
-        };
-        enqueue_traced(&self.pending, &self.trace, kind);
+        });
         self.signal.arm();
     }
 
@@ -1363,11 +1381,10 @@ impl UpdaterRemote {
     /// with `RolledBack` (see [`Updater::enqueue_rollback`]). Staged in
     /// the call, like [`UpdaterRemote::enqueue`].
     pub fn enqueue_rollback(&self, patch: Patch) {
-        let kind = OpKind::Apply {
+        self.shared.enqueue(OpKind::Apply {
             staged: self.stage(patch),
             rollback: true,
-        };
-        enqueue_traced(&self.pending, &self.trace, kind);
+        });
         self.signal.arm();
     }
 
@@ -1375,8 +1392,7 @@ impl UpdaterRemote {
     /// and restore the top entry at the next pause (see
     /// [`Updater::enqueue_snapshot_rollback`]).
     pub fn enqueue_snapshot_rollback(&self) {
-        let (from, to) = rollback_transition(&self.transitions);
-        enqueue_traced(&self.pending, &self.trace, OpKind::Restore { from, to });
+        self.shared.enqueue_restore();
         self.signal.arm();
     }
 
@@ -1385,7 +1401,7 @@ impl UpdaterRemote {
     /// lifecycle (see [`Updater::enqueue_rollback_chain`]). Clamped to
     /// the ring's current length; returns how many hops were queued.
     pub fn enqueue_rollback_chain(&self, hops: usize) -> usize {
-        let n = enqueue_chain(&self.pending, &self.trace, &self.transitions, hops);
+        let n = self.shared.enqueue_restores(hops);
         if n > 0 {
             self.signal.arm();
         }
@@ -1401,57 +1417,103 @@ impl UpdaterRemote {
     /// [`UpdaterRemote::wait_until`] waiters: a waiter counting on those
     /// operations must see that they will never resolve.
     pub fn cancel_pending(&self, reason: &str) -> usize {
-        let n = cancel_traced(&self.pending, &self.trace, reason);
-        self.outcomes.publish();
-        n
+        let (drained, trace) = {
+            let mut s = self.shared.lock();
+            let drained: Vec<QueuedOp> = s.queue.drain(..).collect();
+            (drained, s.trace.clone())
+        };
+        if let Some(t) = trace {
+            for q in &drained {
+                emit_aborted(&t, q, &format!("cancelled: {reason}"));
+            }
+        }
+        self.wake();
+        drained.len()
     }
 
     /// Blocks until `ready` yields a value or `deadline` passes (`None`).
-    /// `ready` is evaluated at once — an outcome published before the call
-    /// returns immediately — and again after every update pause on the
-    /// worker, every [`UpdaterRemote::cancel_pending`] and every
-    /// [`UpdaterRemote::wake`], through any clone of this handle. A pause
-    /// publishes last, so `ready` sees its reports, failures, pending
-    /// count and pause event together. There is no timer in between: a
-    /// change to anything else `ready` reads must be followed by
-    /// [`UpdaterRemote::wake`].
+    /// `ready` runs **under the updater's lock**: at once — an outcome
+    /// published before the call returns immediately — and again after
+    /// every update pause on the worker, every
+    /// [`UpdaterRemote::cancel_pending`] and every [`UpdaterRemote::wake`],
+    /// through any clone of this handle. What it is shown is therefore one
+    /// instant of the updater, whole pauses only, and no publish can land
+    /// between its "not yet" and the park. In exchange it must be quick
+    /// and must not call back into this handle (read the [`Progress`] it
+    /// is given). There is no timer in between: a change to anything else
+    /// `ready` reads must be followed by [`UpdaterRemote::wake`].
     pub fn wait_until<T>(
         &self,
         deadline: Instant,
-        mut ready: impl FnMut() -> Option<T>,
+        mut ready: impl FnMut(&Progress) -> Option<T>,
     ) -> Option<T> {
+        let mut s = self.shared.lock();
         loop {
-            // Count before predicate: a publish between the two makes the
-            // park below return at once.
-            let seen = self.outcomes.events();
-            if let Some(v) = ready() {
+            if let Some(v) = ready(&s.progress()) {
                 return Some(v);
             }
-            if !self.outcomes.park(seen, deadline) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return None;
             }
+            s.waiting += 1;
+            s = self
+                .shared
+                .moved
+                .wait_timeout(s, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            s.waiting -= 1;
         }
     }
 
     /// Makes every [`UpdaterRemote::wait_until`] waiter re-evaluate: for a
     /// party that changed something a predicate reads outside the updater
     /// (a supervisor declaring the worker restarted or down). Change
-    /// first, then wake.
+    /// first, then wake: the wake passes through the lock, so it lands
+    /// either before the waiter's next evaluation or after its park.
     pub fn wake(&self) {
-        self.outcomes.publish();
+        self.shared.publish(Publication::default());
+    }
+
+    /// A cursor at the end of everything published so far: take it before
+    /// enqueueing, hand it to [`UpdaterRemote::since`] (or to
+    /// [`Progress::resolved_since`] inside a wait) afterwards.
+    pub fn mark(&self) -> Mark {
+        let s = self.shared.lock();
+        Mark {
+            reports: s.reports.len(),
+            failures: s.failures.len(),
+            pauses: s.pauses.len(),
+        }
+    }
+
+    /// The reports, failures and pause events published after `mark`, as
+    /// one consistent cut. A history shorter than the mark — a restarted
+    /// worker's, against a mark taken before its crash — reads as empty.
+    pub fn since(&self, mark: Mark) -> Cut {
+        fn tail<T: Clone>(log: &[T], base: usize) -> Vec<T> {
+            log.get(base..).map(<[T]>::to_vec).unwrap_or_default()
+        }
+        let s = self.shared.lock();
+        Cut {
+            reports: tail(&s.reports, mark.reports),
+            failures: tail(&s.failures, mark.failures),
+            pauses: tail(&s.pauses, mark.pauses),
+        }
     }
 
     /// The `(from, to)` transitions whose pre-update snapshots the
     /// worker's ring retains, oldest first.
     pub fn snapshot_transitions(&self) -> Vec<(String, String)> {
-        self.transitions.lock().expect("poisoned").clone()
+        self.shared.lock().transitions.clone()
     }
 
     /// Installs a one-shot gate run at the start of the next pause, before
     /// any patch applies. Used to line several workers up (barrier) for a
     /// simultaneous rollout.
     pub fn set_gate(&self, gate: Gate) {
-        *self.gate.lock().expect("poisoned") = Some(gate);
+        self.shared.lock().gate = Some(gate);
     }
 
     /// Propagates a rollout span context: update spans this worker
@@ -1459,7 +1521,7 @@ impl UpdaterRemote {
     /// `span` (the coordinator's rollout root span), until the next
     /// rollout overwrites the context. No-op for the journal; spans only.
     pub fn set_span_parent(&self, trace: u64, span: u64) {
-        *self.span_parent.lock().expect("poisoned") = Some((trace, span));
+        self.shared.lock().span_parent = Some((trace, span));
     }
 
     /// Clears a propagated rollout span context: subsequent update spans
@@ -1467,74 +1529,95 @@ impl UpdaterRemote {
     /// root span closes, so a later direct update cannot parent under a
     /// span that has already ended.
     pub fn clear_span_parent(&self) {
-        *self.span_parent.lock().expect("poisoned") = None;
+        self.shared.lock().span_parent = None;
     }
 
-    /// Operations not yet fully applied: queued patches plus the op
-    /// currently mid-apply, if any. Zero means every submitted op's
-    /// outcome is visible through [`UpdaterRemote::reports`] /
-    /// [`UpdaterRemote::failures`] — the invariant coordinators lean on
-    /// when they wait for "counts moved and nothing pending".
+    /// Operations not yet fully applied: queued patches plus any the
+    /// running pause has popped and not published. Zero means every
+    /// submitted op's outcome is visible through
+    /// [`UpdaterRemote::reports`] / [`UpdaterRemote::failures`] — the
+    /// invariant coordinators lean on when they wait for "counts moved and
+    /// nothing pending".
     pub fn pending_count(&self) -> usize {
-        self.pending.lock().expect("poisoned").len() + self.in_flight.load(Ordering::SeqCst)
+        self.shared.lock().progress().pending
     }
 
     /// Successful applies so far.
     pub fn applied_count(&self) -> usize {
-        self.log.lock().expect("poisoned").len()
+        self.shared.lock().reports.len()
     }
 
     /// Failed applies so far (non-strict worker).
     pub fn failure_count(&self) -> usize {
-        self.failures.lock().expect("poisoned").len()
-    }
-
-    /// Update pauses recorded so far.
-    pub fn pause_count(&self) -> usize {
-        self.pauses.lock().expect("poisoned").len()
+        self.shared.lock().failures.len()
     }
 
     /// Reports of every successful apply, oldest first.
     pub fn reports(&self) -> Vec<UpdateReport> {
-        self.reports_from(0)
-    }
-
-    /// Reports of the successful applies after the first `base`, oldest
-    /// first (empty when fewer than `base` exist — a restarted worker's
-    /// history can be shorter than a count taken before its crash).
-    pub fn reports_from(&self, base: usize) -> Vec<UpdateReport> {
-        tail(&self.log, base)
+        self.shared.lock().reports.clone()
     }
 
     /// The most recent successful apply's report.
     pub fn last_report(&self) -> Option<UpdateReport> {
-        self.log.lock().expect("poisoned").last().cloned()
+        self.shared.lock().reports.last().cloned()
     }
 
     /// Failures of every failed apply, oldest first, with version and
     /// failing-phase context.
     pub fn failures(&self) -> Vec<FailedUpdate> {
-        self.failures_from(0)
-    }
-
-    /// Failures after the first `base`, oldest first.
-    pub fn failures_from(&self, base: usize) -> Vec<FailedUpdate> {
-        tail(&self.failures, base)
+        self.shared.lock().failures.clone()
     }
 
     /// Update pauses recorded so far, oldest first.
     pub fn pauses(&self) -> Vec<PauseEvent> {
-        self.pauses_from(0)
-    }
-
-    /// Update pauses after the first `base`, oldest first.
-    pub fn pauses_from(&self, base: usize) -> Vec<PauseEvent> {
-        tail(&self.pauses, base)
+        self.shared.lock().pauses.clone()
     }
 }
 
-/// Clones a shared log's entries after the first `base`.
-fn tail<T: Clone>(log: &Mutex<Vec<T>>, base: usize) -> Vec<T> {
-    let log = log.lock().expect("poisoned");
-    log.get(base..).map(<[T]>::to_vec).unwrap_or_default()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering;
+    use vm::LinkMode;
+
+    /// One whole pause, patch-free: a restore queued over an empty ring
+    /// fails (`NoSnapshot`), and a non-strict updater publishes that.
+    fn pause(up: &mut Updater, proc: &mut Process) {
+        up.enqueue_snapshot_rollback(proc);
+        assert_eq!(up.apply_pending(proc), Ok(0));
+    }
+
+    /// The condvar is touched only for somebody: pauses, withdrawals and
+    /// wakes that nobody is parked on make no `notify_all` call (an apply
+    /// on a bare guest pays no futex), and the one that finds a waiter
+    /// makes exactly one — after the outcome it carries is visible.
+    #[test]
+    fn a_publish_nobody_waits_for_makes_no_condvar_call() {
+        let mut proc = Process::new(LinkMode::Updateable);
+        let mut up = Updater::new();
+        up.strict = false;
+        let remote = up.remote(&proc);
+        let shared = Arc::clone(&up.shared);
+
+        pause(&mut up, &mut proc);
+        remote.cancel_pending("nobody waits");
+        remote.wake();
+        assert_eq!((remote.failure_count(), remote.pauses().len()), (1, 1));
+        assert_eq!(shared.lock().waiting, 0);
+        assert_eq!(shared.notifies.load(Ordering::SeqCst), 0);
+
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let ready = |p: &Progress| (p.failed == 2 && p.pending == 0).then_some(p.pauses);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| remote.wait_until(deadline, ready));
+            // Parked, not merely started: the publish below must find it.
+            while shared.lock().waiting == 0 {
+                std::thread::yield_now();
+            }
+            pause(&mut up, &mut proc);
+            assert_eq!(waiter.join().expect("waiter"), Some(2));
+        });
+        assert_eq!(shared.lock().waiting, 0);
+        assert_eq!(shared.notifies.load(Ordering::SeqCst), 1);
+    }
 }

@@ -255,9 +255,9 @@ fn updater_state_survives_a_save_load_round_trip() {
         .is_err());
 }
 
-/// A pause publishes as its last act: a coordinator woken by it finds the
-/// report, the failure, the drained queue and the pause event together —
-/// never an apply without its pause. The pause starts only after the
+/// A pause publishes once, as its last act: a coordinator woken by it finds
+/// the report, the failure, the drained queue and the pause event together
+/// — never an apply without its pause. The pause starts only after the
 /// waiter's first (empty-handed) evaluation, so every later evaluation
 /// was triggered by a publish.
 #[test]
@@ -279,19 +279,11 @@ fn a_pause_wakes_its_waiter_with_the_whole_outcome_visible() {
         let coordinator = remote.clone();
         let waiter = s.spawn(move || {
             let mut first = true;
-            coordinator.wait_until(Instant::now() + Duration::from_secs(30), || {
+            coordinator.wait_until(Instant::now() + Duration::from_secs(30), |p| {
                 if std::mem::take(&mut first) {
                     parked_tx.send(()).unwrap();
                 }
-                let resolved = coordinator.applied_count() + coordinator.failure_count();
-                (resolved > 0).then(|| {
-                    (
-                        coordinator.applied_count(),
-                        coordinator.failure_count(),
-                        coordinator.pending_count(),
-                        coordinator.pause_count(),
-                    )
-                })
+                (p.applied + p.failed > 0).then_some((p.applied, p.failed, p.pending, p.pauses))
             })
         });
         parked_rx.recv().unwrap();
@@ -300,4 +292,134 @@ fn a_pause_wakes_its_waiter_with_the_whole_outcome_visible() {
         up.run(&mut p, "spin", vec![Value::Int(2)]).unwrap();
         assert_eq!(waiter.join().unwrap(), Some((1, 1, 0, 1)));
     });
+}
+
+/// `since(mark)` is a consistent cut. A guest walks hops — forward patch,
+/// snapshot restore, rejected patch, one pause each — while a reader
+/// hammers the remote; the walk goes on (200 hops at least) until the
+/// reader has taken 64 cuts alongside it. Every cut, from the beginning or
+/// from a mark taken mid-walk, holds exactly as many pause events as
+/// outcomes (never a report without its pause), and whenever nothing is
+/// pending every op submitted before the reading has its outcome counted.
+#[test]
+fn since_mark_is_a_consistent_cut_while_a_guest_applies_hops() {
+    use dsu_core::{Cut, Mark};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let mut p = boot(SPIN);
+    let mut up = Updater::new();
+    up.strict = false;
+    let bad = bad_patch(&p);
+    let good = PatchGen::new()
+        .generate(SPIN, &SPIN.replace("n = n + 1", "n = n + 2"), "v1", "v2")
+        .unwrap()
+        .patch;
+    let remote = up.remote(&p);
+    let (submitted, cuts, done) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicBool::new(false),
+    );
+    let mut kinds = [0usize; 3];
+
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let whole = |cut: Cut| {
+                assert_eq!(cut.reports.len() + cut.failures.len(), cut.pauses.len());
+                cut.pauses.len()
+            };
+            while !done.load(Ordering::SeqCst) {
+                let mark = remote.mark();
+                let before = submitted.load(Ordering::SeqCst);
+                let now = remote
+                    .wait_until(std::time::Instant::now(), |p| Some(*p))
+                    .unwrap();
+                if now.pending == 0 {
+                    assert!(now.applied + now.failed >= before, "{now:?} < {before}");
+                }
+                assert!(whole(remote.since(Mark::default())) >= now.pauses);
+                whole(remote.since(mark));
+                cuts.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let mut hop = 0;
+        while !reader.is_finished() && (hop < 200 || cuts.load(Ordering::SeqCst) < 64) {
+            match hop % 3 {
+                0 => up.enqueue(&mut p, good.clone()),
+                1 => up.enqueue_snapshot_rollback(&mut p),
+                _ => up.enqueue(&mut p, bad.clone()),
+            }
+            submitted.fetch_add(1, Ordering::SeqCst);
+            up.run(&mut p, "spin", vec![Value::Int(1)]).unwrap();
+            kinds[hop % 3] += 1;
+            hop += 1;
+        }
+        done.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+    });
+    let all = remote.since(Mark::default());
+    assert_eq!(
+        (all.reports.len(), all.failures.len(), all.pauses.len()),
+        (kinds[0] + kinds[1], kinds[2], kinds.iter().sum())
+    );
+}
+
+/// A pause publishes once on every way out — a panic's unwind included.
+/// Three ops are queued. A pause that dies in the drain hook, before any
+/// op, leaves all three pending. In the next, the apply of the second op
+/// dies: the first op's report, the ring it moved and the pause event are
+/// published by the unwind, the dead op is gone, and the third is still
+/// queued — `pending_count()` is the remainder, not zero and not three.
+#[test]
+fn a_panic_mid_pause_publishes_what_finished_and_keeps_the_rest_queued() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let mut p = boot(SPIN);
+    let mut up = Updater::new();
+    up.strict = false;
+    let v2_src = SPIN.replace("n = n + 1", "n = n + 10");
+    let v3_src = SPIN.replace("n = n + 1", "n = n + 100");
+    let p12 = PatchGen::new().generate(SPIN, &v2_src, "v1", "v2").unwrap();
+    let p23 = PatchGen::new()
+        .generate(&v2_src, &v3_src, "v2", "v3")
+        .unwrap();
+    let remote = up.remote(&p);
+    remote.enqueue(p12.patch);
+    remote.enqueue(p23.patch);
+    assert_eq!(remote.enqueue_rollback_chain(1), 0, "nothing to undo yet");
+    remote.enqueue_snapshot_rollback();
+    let counts = || {
+        (
+            remote.pending_count(),
+            remote.applied_count(),
+            remote.pauses().len(),
+        )
+    };
+
+    let hook_dies = Arc::new(AtomicBool::new(true));
+    let armed = Arc::clone(&hook_dies);
+    up.set_drain_hook(Box::new(move || {
+        assert!(!armed.load(Ordering::SeqCst), "injected: mid-pause crash");
+    }));
+    assert!(catch_unwind(AssertUnwindSafe(|| up.apply_pending(&mut p))).is_err());
+    assert_eq!(counts(), (3, 0, 1));
+
+    hook_dies.store(false, Ordering::SeqCst);
+    let mut links = 0;
+    dsu_core::set_phase_probe(Some(Box::new(move |phase| {
+        links += usize::from(phase == "link");
+        assert!(links < 2, "injected: second apply crashes");
+    })));
+    assert!(catch_unwind(AssertUnwindSafe(|| up.apply_pending(&mut p))).is_err());
+    dsu_core::set_phase_probe(None);
+    assert_eq!(counts(), (1, 1, 2));
+    let moved = vec![("v1".to_string(), "v2".to_string())];
+    assert_eq!(remote.snapshot_transitions(), moved);
+
+    // The survivor still applies: the restore takes the process back to v1.
+    assert_eq!(up.apply_pending(&mut p), Ok(1));
+    assert_eq!(counts(), (0, 2, 3));
+    assert!(remote.snapshot_transitions().is_empty());
 }

@@ -25,11 +25,14 @@
 //!
 //! The coordinator blocks on the worker, not on a timer: every await is
 //! one [`dsu_core::UpdaterRemote::wait_until`] on the handle the patch
-//! was enqueued on, woken by the worker's end-of-pause publish, by a
-//! withdrawal, or by the supervisor — which publishes, then wakes: the
+//! was enqueued on. Its predicate runs under the updater's one lock, so it
+//! sees whole pauses only, and is re-run after the worker's single
+//! end-of-pause publish, a withdrawal, or the supervisor's
+//! [`dsu_core::UpdaterRemote::wake`] — which changes, then wakes: the
 //! restart epoch is bumped after the fresh seat, the edge's `mark_up` and
 //! the [`RestartReport`] are all in place, and only then are parked
-//! coordinators woken.
+//! coordinators woken. Progress is measured from a [`Mark`] taken before
+//! the enqueue and read back as one cut ([`dsu_core::UpdaterRemote::since`]).
 //!
 //! Workers run their updaters non-strict: a worker whose apply is rejected
 //! keeps serving its old version and the failure lands in the rollout's
@@ -44,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dsu_core::{FleetUpdateReport, Patch, UpdaterRemote};
+use dsu_core::{FleetUpdateReport, Mark, Patch, UpdaterRemote};
 use dsu_obs::trace::{Span, SpanKind};
 use dsu_obs::{Journal, Tracer};
 use vm::LinkMode;
@@ -1032,35 +1035,31 @@ impl Fleet {
         });
     }
 
-    /// Per-worker [`baseline`]s before a rollout.
-    pub(crate) fn baselines(&self) -> Vec<(usize, usize, usize)> {
-        self.state
-            .workers
-            .iter()
-            .map(|w| baseline(&w.remote()))
-            .collect()
+    /// Every worker's [`Mark`] before a rollout.
+    pub(crate) fn marks(&self) -> Vec<Mark> {
+        let workers = self.state.workers.iter();
+        workers.map(|w| w.remote().mark()).collect()
     }
 
-    /// Gathers everything each worker applied/failed/paused since
-    /// `baselines` into a [`FleetUpdateReport`].
-    pub(crate) fn collect_report(&self, baselines: &[(usize, usize, usize)]) -> FleetUpdateReport {
+    /// Gathers everything each worker applied/failed/paused since `marks`
+    /// into a [`FleetUpdateReport`].
+    pub(crate) fn collect_report(&self, marks: &[Mark]) -> FleetUpdateReport {
         let mut report = FleetUpdateReport {
             workers: self.state.workers.len(),
             ..FleetUpdateReport::default()
         };
-        for (w, (applied0, failed0, pauses0)) in self.state.workers.iter().zip(baselines) {
+        for (w, mark) in self.state.workers.iter().zip(marks) {
             // A supervised restart resets the worker's history to its
-            // replay hops, which can be shorter than a baseline captured
-            // pre-crash: the tails are then empty.
-            let remote = w.remote();
-            for r in remote.reports_from(*applied0) {
-                report.applied.push((w.id, r));
-            }
-            for e in remote.failures_from(*failed0) {
-                report.failed.push((w.id, e));
-            }
-            let pause: Duration = remote.pauses_from(*pauses0).iter().map(|p| p.dur).sum();
-            report.pauses.push(pause);
+            // replay hops, which can be shorter than a mark taken
+            // pre-crash: the cut is then empty.
+            let cut = w.remote().since(*mark);
+            report
+                .applied
+                .extend(cut.reports.into_iter().map(|r| (w.id, r)));
+            report
+                .failed
+                .extend(cut.failures.into_iter().map(|e| (w.id, e)));
+            report.pauses.push(cut.pauses.iter().map(|p| p.dur).sum());
         }
         report
     }
@@ -1075,23 +1074,12 @@ impl Fleet {
         }
     }
 
-    /// Waits until `worker` has resolved one more patch than its baseline
-    /// (see [`Fleet::await_worker_n`]).
-    pub(crate) fn await_worker(
-        &self,
-        worker: &Worker,
-        remote: &UpdaterRemote,
-        base: (usize, usize, usize),
-        epoch0: u64,
-    ) -> Result<(), FleetError> {
-        self.await_worker_n(worker, remote, base, 1, epoch0)
-    }
-
     /// Blocks on `remote` — the handle the patches were enqueued on —
-    /// until `worker` has resolved `n` more of them than its baseline (a
-    /// rollback *chain* resolves several in one pause), nothing is
-    /// pending and the pause that applied them is recorded. The worker's
-    /// publish at the end of its pause is the wake; there is no timer.
+    /// until `worker` has resolved `n` of them since `mark`, taken on
+    /// that handle before the enqueue (a rollback *chain* resolves several
+    /// in one pause), and nothing is pending. A pause publishes whole, so
+    /// the pause events of those outcomes are visible with them. The
+    /// worker's publish is the wake; there is no timer.
     ///
     /// `epoch0` is the worker's restart epoch at enqueue time: a bump
     /// mid-wait means a supervisor rebooted the worker (the in-flight
@@ -1104,24 +1092,20 @@ impl Fleet {
         &self,
         worker: &Worker,
         remote: &UpdaterRemote,
-        (applied0, failed0, pauses0): (usize, usize, usize),
+        mark: Mark,
         n: usize,
         epoch0: u64,
     ) -> Result<(), FleetError> {
         let deadline = Instant::now() + self.rollout_deadline;
         remote
-            .wait_until(deadline, || {
+            .wait_until(deadline, |p| {
                 if worker.has_failed() {
                     return Some(Err(FleetError::WorkerDown { worker: worker.id }));
                 }
                 if worker.epoch() != epoch0 {
                     return Some(Err(FleetError::WorkerRestarted { worker: worker.id }));
                 }
-                let resolved = remote.applied_count() + remote.failure_count();
-                (resolved >= applied0 + failed0 + n
-                    && remote.pending_count() == 0
-                    && remote.pause_count() > pauses0)
-                    .then_some(Ok(()))
+                (p.resolved_since(mark) >= n && p.pending == 0).then_some(Ok(()))
             })
             .unwrap_or(Err(FleetError::RolloutStalled { worker: worker.id }))
     }
@@ -1180,17 +1164,6 @@ impl Fleet {
             Some(e) => Err(e),
         }
     }
-}
-
-/// The `(applied, failed, pauses)` counts of the incarnation behind
-/// `remote`, taken before enqueueing on it: what
-/// [`Fleet::await_worker_n`] measures progress against.
-pub(crate) fn baseline(remote: &UpdaterRemote) -> (usize, usize, usize) {
-    (
-        remote.applied_count(),
-        remote.failure_count(),
-        remote.pause_count(),
-    )
 }
 
 /// Everything one worker thread needs, bundled (the spawn site builds it

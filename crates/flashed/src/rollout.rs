@@ -50,10 +50,10 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dsu_core::{FleetUpdateReport, Patch, StagedPatch, UpdateReport, UpdaterRemote};
+use dsu_core::{FleetUpdateReport, Mark, Patch, StagedPatch, UpdateReport, UpdaterRemote};
 use dsu_obs::{Journal, Stage};
 
-use crate::fleet::{baseline, Fleet, FleetError};
+use crate::fleet::{Fleet, FleetError};
 use crate::guard::{
     windowed_quantile, BreachAction, ErrorRateWindow, HealthBreach, HealthGate, PauseSlo,
     RolloutOutcome, RolloutReportCard, StepHealth,
@@ -581,7 +581,7 @@ impl<'a> Orchestrator<'a> {
                 }
                 g
             }),
-            baselines: self.fleets.iter().map(Fleet::baselines).collect(),
+            marks: self.fleets.iter().map(Fleet::marks).collect(),
             steps: Vec::new(),
             forward: Vec::new(),
             rollbacks: Vec::new(),
@@ -597,7 +597,7 @@ impl<'a> Orchestrator<'a> {
             f.end_rollout_trace(rt, patch);
         }
         let Run {
-            baselines,
+            marks,
             steps,
             forward,
             rollbacks,
@@ -613,8 +613,8 @@ impl<'a> Orchestrator<'a> {
             workers: n,
             ..FleetUpdateReport::default()
         };
-        for ((f, base), off) in self.fleets.iter().zip(&baselines).zip(&offsets) {
-            let r = f.collect_report(base);
+        for ((f, marks), off) in self.fleets.iter().zip(&marks).zip(&offsets) {
+            let r = f.collect_report(marks);
             fleet_report
                 .applied
                 .extend(r.applied.into_iter().map(|(i, rep)| (off + i, rep)));
@@ -694,9 +694,9 @@ impl<'a> Orchestrator<'a> {
     }
 }
 
-/// One in-flight orchestrated rollout's mutable state. Baselines are
-/// owned and mutable: a supervised restart resets a worker's history,
-/// so its baseline is re-captured before the patch is re-driven.
+/// One in-flight orchestrated rollout's mutable state. Marks are owned
+/// and mutable: a supervised restart resets a worker's history, so its
+/// mark is re-taken before the patch is re-driven.
 struct Run<'o, 'a> {
     orch: &'o Orchestrator<'a>,
     patch: &'o Patch,
@@ -707,7 +707,7 @@ struct Run<'o, 'a> {
     staged: Option<Arc<StagedPatch>>,
     plan: &'o RolloutPlan,
     gate: Option<HealthGate>,
-    baselines: Vec<Vec<(usize, usize, usize)>>,
+    marks: Vec<Vec<Mark>>,
     steps: Vec<StepHealth>,
     forward: Vec<(usize, UpdateReport)>,
     rollbacks: Vec<(usize, UpdateReport)>,
@@ -745,12 +745,10 @@ impl Run<'_, '_> {
                 .iter()
                 .flat_map(|&gid| {
                     let (fi, li) = orch.locate(gid);
-                    let pauses0 = self.baselines[fi][li].2;
-                    orch.fleets[fi].workers()[li]
+                    let since = orch.fleets[fi].workers()[li]
                         .remote()
-                        .pauses_from(pauses0)
-                        .into_iter()
-                        .map(|p| p.dur)
+                        .since(self.marks[fi][li]);
+                    since.pauses.into_iter().map(|p| p.dur)
                 })
                 .collect();
             let slo = self.plan.gate.unwrap_or(PauseSlo {
@@ -877,13 +875,14 @@ impl Run<'_, '_> {
     /// its rendezvous installed when it pauses), then every member's
     /// patch enqueued, then each awaited and judged in cohort order. The
     /// await is one park on the handle the patch was enqueued on, woken
-    /// by the worker's end-of-pause publish (or its supervisor): when it
-    /// returns `Ok` the report, the drained queue and the pause event are
-    /// all visible, so no step is ever judged pauseless.
+    /// by the worker's end-of-pause publish (or its supervisor): a pause
+    /// publishes whole, so when it returns `Ok` the report, the drained
+    /// queue and the pause event are all in the cut read next and no step
+    /// is ever judged pauseless.
     ///
     /// A member whose supervisor restarts it mid-wait (the in-flight
-    /// patch was withdrawn at death) is *re-driven*: its baseline is
-    /// re-captured from the rebooted history and the patch re-enqueued,
+    /// patch was withdrawn at death) is *re-driven*: its mark is re-taken
+    /// on the rebooted history and the patch re-enqueued,
     /// up to [`MAX_REDRIVES`] times. A member whose supervisor gave up
     /// on it reads as a stall — a breach under a gate, an error without
     /// one. Returns the first health breach, if any.
@@ -901,12 +900,12 @@ impl Run<'_, '_> {
                     }));
             }
         }
-        let mut marks = Vec::with_capacity(members.len());
+        let mut windows = Vec::with_capacity(members.len());
         let mut epochs = Vec::with_capacity(members.len());
         let mut remotes = Vec::with_capacity(members.len());
         for &gid in members {
             let (fi, li) = orch.locate(gid);
-            marks.push(self.step_marks(gid));
+            windows.push(self.step_marks(gid));
             // Epoch before enqueue: a restart between the two counts as a
             // withdrawal of this patch, never goes unnoticed. The handle
             // we enqueue on is kept: if the seat is swapped mid-wait, the
@@ -922,12 +921,12 @@ impl Run<'_, '_> {
             let (fi, li) = orch.locate(gid);
             let fleet = &orch.fleets[fi];
             let w = &fleet.workers()[li];
-            let mut base = self.baselines[fi][li];
+            let mut mark = self.marks[fi][li];
             let mut epoch0 = epochs[mi];
             let mut redrives = 0usize;
             let mut down = false;
             let stalled = loop {
-                match fleet.await_worker(w, &remotes[mi], base, epoch0) {
+                match fleet.await_worker_n(w, &remotes[mi], mark, 1, epoch0) {
                     Ok(()) => break false,
                     Err(FleetError::WorkerRestarted { .. }) if redrives < MAX_REDRIVES => {
                         redrives += 1;
@@ -945,9 +944,9 @@ impl Run<'_, '_> {
                         epoch0 = w.epoch();
                         remotes[mi] = w.remote();
                         let remote = &remotes[mi];
-                        base = baseline(remote);
-                        self.baselines[fi][li] = base;
-                        marks[mi] = self.step_marks(gid);
+                        mark = remote.mark();
+                        self.marks[fi][li] = mark;
+                        windows[mi] = self.step_marks(gid);
                         if fleet.worker_version(w) == self.patch.to_version {
                             // The reboot replayed past this transition
                             // already — nothing left to drive.
@@ -972,19 +971,19 @@ impl Run<'_, '_> {
                     "rolling rollout stalled"
                 });
             }
-            let remote = &remotes[mi];
-            let pauses: Vec<Duration> = remote.pauses_from(base.2).iter().map(|p| p.dur).collect();
+            let since = remotes[mi].since(mark);
+            let pauses: Vec<Duration> = since.pauses.iter().map(|p| p.dur).collect();
             let slo = self.plan.gate.unwrap_or(PauseSlo {
                 quantile: 1.0,
                 max: Duration::MAX,
             });
-            let mut health = self.window_health(gid, &marks[mi], slo.observe(&pauses));
+            let mut health = self.window_health(gid, &windows[mi], slo.observe(&pauses));
             let verdict = if stalled {
                 Err(HealthBreach::Stalled { worker: gid })
             } else if let Some(g) = &self.gate {
                 // The window is now as short as the pause: judge liveness
                 // on evidence, not on its width.
-                let completions0 = marks[mi].completions;
+                let completions0 = windows[mi].completions;
                 (health.new_completions, health.queued) =
                     settle_liveness(g.slo.max.min(fleet.deadline()), || {
                         let done = fleet.shared().completions_len();
@@ -995,9 +994,8 @@ impl Run<'_, '_> {
                 Ok(())
             };
             self.steps.push(health);
-            for r in remote.reports_from(base.0) {
-                self.forward.push((gid, r));
-            }
+            self.forward
+                .extend(since.reports.into_iter().map(|r| (gid, r)));
             fleet.refresh_skew();
             self.skew.sample(orch.global_skew())?;
             if self.gate.is_none() && stalled {
@@ -1022,15 +1020,15 @@ impl Run<'_, '_> {
         let offsets = self.orch.offsets();
         let mut updated = Vec::new();
         let mut all = Vec::new();
-        for ((f, base), off) in self.orch.fleets.iter().zip(&self.baselines).zip(&offsets) {
-            for (w, (applied0, _, _)) in f.workers().iter().zip(base) {
+        for ((f, marks), off) in self.orch.fleets.iter().zip(&self.marks).zip(&offsets) {
+            for (w, mark) in f.workers().iter().zip(marks) {
                 let gid = off + w.id;
                 all.push(gid);
                 let remote = w.remote();
                 if remote.pending_count() > 0 {
                     remote.cancel_pending("rolling rollout stalled");
                 }
-                if remote.applied_count() > *applied0 {
+                if !remote.since(*mark).reports.is_empty() {
                     updated.push(gid);
                 }
             }
@@ -1057,12 +1055,12 @@ impl Run<'_, '_> {
             // Epoch before handle (see `drive_cohort`).
             let epoch0 = w.epoch();
             let remote = w.remote();
-            let base = baseline(&remote);
+            let mark = remote.mark();
             match inverse {
                 Some(p) => remote.enqueue_rollback(p.clone()),
                 None => remote.enqueue_snapshot_rollback(),
             }
-            if let Err(e) = fleet.await_worker(w, &remote, base, epoch0) {
+            if let Err(e) = fleet.await_worker_n(w, &remote, mark, 1, epoch0) {
                 // Close the hop's lifecycle on the handle it was enqueued
                 // on (the seat may have been swapped under us) before
                 // surfacing the failure.
@@ -1086,16 +1084,13 @@ impl Run<'_, '_> {
     fn chain_roll_back(&mut self, to_version: &str) -> Result<(), FleetError> {
         let orch = self.orch;
         let offsets = orch.offsets();
-        let mut targets: Vec<(usize, usize, usize)> = Vec::new(); // (gid, fi, li)
+        let mut targets = Vec::new();
         for (fi, (f, off)) in orch.fleets.iter().zip(&offsets).enumerate() {
-            for w in f.workers() {
-                targets.push((off + w.id, fi, w.id));
-            }
+            targets.extend(f.workers().iter().map(|w| (off + w.id, fi, w)));
         }
         targets.sort_by_key(|t| std::cmp::Reverse(t.0));
-        for (gid, fi, li) in targets {
+        for (gid, fi, w) in targets {
             let fleet = &orch.fleets[fi];
-            let w = &fleet.workers()[li];
             if fleet.worker_version(w) == to_version {
                 continue;
             }
@@ -1116,19 +1111,17 @@ impl Run<'_, '_> {
             if !reachable {
                 continue;
             }
-            let base = baseline(&remote);
+            let mark = remote.mark();
             let queued = remote.enqueue_rollback_chain(hops);
-            if let Err(e) = fleet.await_worker_n(w, &remote, base, queued, epoch0) {
+            if let Err(e) = fleet.await_worker_n(w, &remote, mark, queued, epoch0) {
                 // As in `roll_back_forward`: defuse the enqueued hops on
                 // the handle that holds them before surfacing the error.
                 remote.cancel_pending("rollback chain interrupted");
                 return Err(self.globalize_stall(e, fi));
             }
-            for r in remote.reports_from(base.0) {
-                if r.rolled_back {
-                    self.rollbacks.push((gid, r));
-                }
-            }
+            let undone = remote.since(mark).reports.into_iter();
+            self.rollbacks
+                .extend(undone.filter(|r| r.rolled_back).map(|r| (gid, r)));
             fleet.refresh_skew();
             self.skew.sample(orch.global_skew())?;
         }

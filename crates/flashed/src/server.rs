@@ -514,7 +514,7 @@ impl Server {
             let inbox = Arc::clone(&inbox);
             proc.set_update_wake(Box::new(move || inbox.poke()));
         }
-        let updater = Updater::new();
+        let mut updater = Updater::new();
         if let Some(tel) = &telemetry {
             updater.set_journal(tel.journal().clone(), tel.worker());
             if let Some(tr) = tel.tracer() {
@@ -682,18 +682,8 @@ impl Server {
                             let raw = r.t0.elapsed();
                             // Suspensions at update points between this
                             // request's pull and its response are update
-                            // pause, not service time. One updater's pauses
-                            // are appended in time order: scan from the
-                            // newest, stop at the first that began before
-                            // the pull.
-                            let pause: Duration = pauses
-                                .lock()
-                                .expect("poisoned")
-                                .iter()
-                                .rev()
-                                .take_while(|ev| ev.at >= r.t0)
-                                .map(|ev| ev.dur)
-                                .sum();
+                            // pause, not service time.
+                            let pause = pauses.paused_since(r.t0);
                             (raw.saturating_sub(pause), pause, r.queue_wait, Some(r.id))
                         }
                         None => (Duration::ZERO, Duration::ZERO, Duration::ZERO, None),

@@ -224,11 +224,11 @@ fn bare_remote_enqueue_reaches_an_idle_worker() {
     }
 }
 
-/// A publish that lands after the waiter read the event count but before
-/// it parked must not be lost. The predicate forces exactly that
-/// interleaving: its first evaluation publishes (a withdrawal on an empty
-/// queue) and reports "not ready", so the park that follows has to see
-/// the count moved and return at once.
+/// A publish aimed between a waiter's "not ready" and its park must not
+/// be lost. The predicate runs under the updater's lock, so the closest a
+/// publisher can get is to be started from inside the first evaluation: it
+/// then blocks on that lock until the park releases it, and its wake (a
+/// withdrawal on an empty queue) has to bring the waiter back at once.
 #[test]
 fn a_publish_between_the_predicate_and_the_park_is_not_lost() {
     let (fs, _) = fixture();
@@ -240,39 +240,41 @@ fn a_publish_between_the_predicate_and_the_park_is_not_lost() {
     remote.enqueue(gen.patch.clone());
     await_applied(&remote, 1);
     let began = Instant::now();
-    let seen = remote.wait_until(began + WAKE_GUARD, || {
-        (remote.applied_count() == 1 && remote.pending_count() == 0).then(|| remote.pause_count())
+    let seen = remote.wait_until(began + WAKE_GUARD, |p| {
+        (p.applied == 1 && p.pending == 0).then_some(p.pauses)
     });
     assert_eq!(seen, Some(1), "the apply's pause is published with it");
     assert!(began.elapsed() < WAKE_MARGIN);
 
     let mut evaluations = 0;
     let began = Instant::now();
-    let woke = remote.wait_until(began + WAKE_GUARD, || {
-        evaluations += 1;
-        if evaluations == 1 {
-            remote.cancel_pending("test: publish under the waiter's feet");
-            return None;
-        }
-        Some(())
+    std::thread::scope(|scope| {
+        let woke = remote.wait_until(began + WAKE_GUARD, |_| {
+            evaluations += 1;
+            if evaluations == 1 {
+                scope.spawn(|| remote.cancel_pending("test: publish under the waiter's feet"));
+                return None;
+            }
+            Some(())
+        });
+        assert_eq!(woke, Some(()));
     });
-    assert_eq!(woke, Some(()));
     assert_eq!(evaluations, 2);
     assert!(began.elapsed() < WAKE_MARGIN, "{:?}", began.elapsed());
 
     // Nothing published and nothing to wait for: the deadline is the only
     // way out, and it is honoured.
     let began = Instant::now();
-    let timed_out = remote.wait_until(began + Duration::from_millis(20), || None::<()>);
+    let timed_out = remote.wait_until(began + Duration::from_millis(20), |_| None::<()>);
     assert_eq!(timed_out, None);
     assert!(began.elapsed() >= Duration::from_millis(20));
     fleet.shutdown().unwrap();
 }
 
 /// A withdrawal from another thread wakes a parked waiter. The canceller
-/// is released from inside the waiter's first evaluation, so it runs
-/// either just before the park (count moved: no park) or after it (a real
-/// wake) — never before the wait began.
+/// is released from inside the waiter's first evaluation — under the
+/// updater's lock — so its withdrawal cannot get in before the park: it is
+/// a real wake, never one that ran before the wait began.
 #[test]
 fn cancel_pending_from_another_thread_wakes_a_parked_waiter() {
     let (fs, _) = fixture();
@@ -292,7 +294,7 @@ fn cancel_pending_from_another_thread_wakes_a_parked_waiter() {
         });
         let mut released = false;
         let began = Instant::now();
-        let woke = remote.wait_until(began + WAKE_GUARD, || {
+        let woke = remote.wait_until(began + WAKE_GUARD, |_| {
             if !released {
                 released = true;
                 go_tx.send(()).unwrap();

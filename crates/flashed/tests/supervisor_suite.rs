@@ -215,7 +215,7 @@ fn a_supervised_restart_wakes_a_parked_waiter_after_its_report_is_logged() {
         },
     );
     let began = Instant::now();
-    let seen = remote.wait_until(began + WAKE_GUARD, || {
+    let seen = remote.wait_until(began + WAKE_GUARD, |_| {
         (fleet.worker_epoch(0) == 1).then(|| (fleet.restart_reports().len(), fleet.worker_up(0)))
     });
     assert_eq!(

@@ -337,6 +337,16 @@ impl<'a> Dataflow<'a> {
                 }
             }
         }
+        // Only reachable instructions were typed, but a loader lowers the
+        // whole body: a branch in dead code must still name an index the
+        // body has (one past the end at most).
+        for (at, instr) in code.iter().enumerate() {
+            if let Instr::Jump(t) | Instr::JumpIfFalse(t) = instr {
+                if *t as usize > code.len() {
+                    return Err(self.err(at, "branch target outside the code"));
+                }
+            }
+        }
         Ok(())
     }
 

@@ -65,6 +65,22 @@ fn jump_bounds_are_checked() {
     });
 }
 
+/// Dead code is not typed, but it is lowered with the rest of the body:
+/// a branch in it may not point outside (one past the end is the most a
+/// loader's tables hold).
+#[test]
+fn jump_bounds_are_checked_in_unreachable_code_too() {
+    let dead_jump = |t| {
+        move |f: &mut tal::FunctionBuilder<'_>| {
+            f.emit(Instr::PushInt(1));
+            f.emit(Instr::Ret);
+            f.emit(Instr::Jump(t));
+        }
+    };
+    accepts(FnSig::new(vec![], Ty::Int), dead_jump(3));
+    rejects(FnSig::new(vec![], Ty::Int), "outside", dead_jump(4));
+}
+
 #[test]
 fn operand_kinds_are_checked_per_instruction() {
     // Integer op on strings.

@@ -23,7 +23,7 @@
 //! which the runtime computes ahead of the update pause and hands to
 //! [`Process::link_planned`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -241,6 +241,65 @@ pub struct BindingSnapshot {
     pub(crate) slots: Vec<Option<FuncId>>,
     pub(crate) struct_by_name: HashMap<String, StructId>,
     pub(crate) globals: Vec<GlobalCell>,
+}
+
+impl BindingSnapshot {
+    /// Checks that [`Process::restore`] can install this snapshot on
+    /// `proc`: no more slots or global cells than the process has, every
+    /// function id inside the code store, every slot id inside the slot
+    /// table, every struct id registered. A snapshot the process took of
+    /// itself always fits; one decoded from bytes need not.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first table or id that is out of range.
+    pub fn fits(&self, proc: &Process) -> Result<(), String> {
+        let fits = |what: &str, id: u32, len: usize| {
+            if (id as usize) < len {
+                Ok(())
+            } else {
+                Err(format!("{what} {id} is outside the process's {len}"))
+            }
+        };
+        if self.slots.len() > proc.slots.len() {
+            let (n, have) = (self.slots.len(), proc.slots.len());
+            return Err(format!("{n} slots, the process has {have}"));
+        }
+        if self.globals.len() > proc.globals.len() {
+            let (n, have) = (self.globals.len(), proc.globals.len());
+            return Err(format!("{n} globals, the process has {have}"));
+        }
+        let bound = self.fn_by_name.values().copied();
+        let transformers = self.globals.iter().filter_map(|g| g.pending_transform);
+        for id in bound
+            .chain(self.slots.iter().flatten().copied())
+            .chain(transformers)
+        {
+            fits("function", id.0, proc.functions.len())?;
+        }
+        for id in self.struct_by_name.values() {
+            fits("struct", id.0, proc.structs.len())?;
+        }
+        // Guest values form a DAG (aliased arrays and records): each
+        // shared object is walked once.
+        let mut seen = HashSet::new();
+        let mut stack: Vec<Value> = self.globals.iter().map(|g| g.value.clone()).collect();
+        while let Some(v) = stack.pop() {
+            match &v {
+                Value::Fn(FnRef::Direct(id)) => fits("function", id.0, proc.functions.len())?,
+                Value::Fn(FnRef::Slot(id)) => fits("slot", id.0, proc.slots.len())?,
+                Value::Array(a) if seen.insert(Rc::as_ptr(a).cast::<()>()) => {
+                    stack.extend(a.borrow().iter().cloned());
+                }
+                Value::Record(r) if seen.insert(Rc::as_ptr(r).cast::<()>()) => {
+                    fits("struct", r.struct_id.0, proc.structs.len())?;
+                    stack.extend(r.fields.borrow().iter().cloned());
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A running guest process. Single-threaded (guest values are `Rc`-based);
@@ -782,9 +841,10 @@ impl Process {
     /// linker.
     ///
     /// # Panics
-    /// Panics if slots were created since the snapshot was taken *and* the
-    /// snapshot is restored onto a process whose tables shrank, which cannot
-    /// happen through the public API.
+    /// Panics if the snapshot holds more slots or global cells than this
+    /// process: it does not [`BindingSnapshot::fits`]. A process's own
+    /// snapshots always do (its tables only grow), and a snapshot decoded
+    /// from bytes is checked where it is loaded.
     pub fn restore(&mut self, snap: BindingSnapshot) {
         self.bind_generation += 1;
         self.fn_by_name = snap.fn_by_name;

@@ -51,7 +51,7 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             c => out.push(c),
         }
     }
@@ -204,6 +204,14 @@ impl Json {
         }
     }
 
+    /// An id or object label: an integer that fits `T` exactly. A value
+    /// that would have to be narrowed is refused, never wrapped — a wrapped
+    /// id names some *other* function, slot or struct.
+    fn as_id<T: TryFrom<i64>>(&self, what: &str) -> Result<T, SnapshotCodecError> {
+        let n = self.as_int(what)?;
+        T::try_from(n).map_err(|_| SnapshotCodecError(format!("{what}: {n} is out of range")))
+    }
+
     fn as_str(&self, what: &str) -> Result<&str, SnapshotCodecError> {
         match self {
             Json::Str(s) => Ok(s),
@@ -226,9 +234,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the reader follows. It is recursive, as
+/// is the encoder; guest data nests a few levels, and input that nests
+/// thousands deep is refused here instead of exhausting the stack.
+const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -267,8 +281,17 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, SnapshotCodecError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nested too deeply")),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -386,6 +409,15 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Enters a heap object under its label. A label used twice would make
+/// later `ref`s ambiguous: refused, not resolved to the newer object.
+fn share(shares: &mut HashMap<u64, Value>, id: u64, v: &Value) -> Result<(), SnapshotCodecError> {
+    match shares.insert(id, v.clone()) {
+        None => Ok(()),
+        Some(_) => Err(SnapshotCodecError(format!("object id {id} used twice"))),
+    }
+}
+
 fn decode_value(j: &Json, shares: &mut HashMap<u64, Value>) -> Result<Value, SnapshotCodecError> {
     let tag = j
         .get("t")
@@ -410,32 +442,32 @@ fn decode_value(j: &Json, shares: &mut HashMap<u64, Value>) -> Result<Value, Sna
         )),
         "fn" => {
             if let Some(d) = j.get("direct") {
-                Ok(Value::Fn(FnRef::Direct(FuncId(d.as_int("fn")? as u32))))
+                Ok(Value::Fn(FnRef::Direct(FuncId(d.as_id("fn")?))))
             } else if let Some(s) = j.get("slot") {
-                Ok(Value::Fn(FnRef::Slot(SlotId(s.as_int("fn")? as u32))))
+                Ok(Value::Fn(FnRef::Slot(SlotId(s.as_id("fn")?))))
             } else {
                 Ok(Value::Fn(FnRef::Unresolved))
             }
         }
         "ref" => {
-            let id = j
+            let id: u64 = j
                 .get("id")
                 .ok_or_else(|| SnapshotCodecError("ref without id".to_string()))?
-                .as_int("ref id")? as u64;
+                .as_id("ref id")?;
             shares
                 .get(&id)
                 .cloned()
                 .ok_or_else(|| SnapshotCodecError(format!("ref to unseen object {id}")))
         }
         "arr" => {
-            let id = j
+            let id: u64 = j
                 .get("id")
                 .ok_or_else(|| SnapshotCodecError("arr without id".to_string()))?
-                .as_int("arr id")? as u64;
+                .as_id("arr id")?;
             // Register before decoding elements so nested refs resolve
             // (repeats inside the same array share the one object).
             let arr = Value::empty_array();
-            shares.insert(id, arr.clone());
+            share(shares, id, &arr)?;
             let elems = j
                 .get("v")
                 .ok_or_else(|| SnapshotCodecError("arr without v".to_string()))?
@@ -450,16 +482,16 @@ fn decode_value(j: &Json, shares: &mut HashMap<u64, Value>) -> Result<Value, Sna
             Ok(arr)
         }
         "rec" => {
-            let id = j
+            let id: u64 = j
                 .get("id")
                 .ok_or_else(|| SnapshotCodecError("rec without id".to_string()))?
-                .as_int("rec id")? as u64;
+                .as_id("rec id")?;
             let sid = j
                 .get("sid")
                 .ok_or_else(|| SnapshotCodecError("rec without sid".to_string()))?
-                .as_int("rec sid")? as u32;
+                .as_id("rec sid")?;
             let rec = Value::record(StructId(sid), Vec::new());
-            shares.insert(id, rec.clone());
+            share(shares, id, &rec)?;
             let elems = j
                 .get("v")
                 .ok_or_else(|| SnapshotCodecError("rec without v".to_string()))?
@@ -486,6 +518,7 @@ pub fn decode_snapshot(text: &str) -> Result<BindingSnapshot, SnapshotCodecError
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let root = p.value()?;
     p.skip_ws();
@@ -499,7 +532,7 @@ pub fn decode_snapshot(text: &str) -> Result<BindingSnapshot, SnapshotCodecError
         .ok_or_else(|| SnapshotCodecError("missing fns".to_string()))?
         .as_obj("fns")?
     {
-        fn_by_name.insert(name.clone(), FuncId(id.as_int("fn id")? as u32));
+        fn_by_name.insert(name.clone(), FuncId(id.as_id("fn id")?));
     }
 
     let mut slots = Vec::new();
@@ -510,7 +543,7 @@ pub fn decode_snapshot(text: &str) -> Result<BindingSnapshot, SnapshotCodecError
     {
         slots.push(match s {
             Json::Null => None,
-            other => Some(FuncId(other.as_int("slot")? as u32)),
+            other => Some(FuncId(other.as_id("slot")?)),
         });
     }
 
@@ -520,7 +553,7 @@ pub fn decode_snapshot(text: &str) -> Result<BindingSnapshot, SnapshotCodecError
         .ok_or_else(|| SnapshotCodecError("missing structs".to_string()))?
         .as_obj("structs")?
     {
-        struct_by_name.insert(name.clone(), StructId(id.as_int("struct id")? as u32));
+        struct_by_name.insert(name.clone(), StructId(id.as_id("struct id")?));
     }
 
     let mut shares = HashMap::new();
@@ -547,7 +580,7 @@ pub fn decode_snapshot(text: &str) -> Result<BindingSnapshot, SnapshotCodecError
             &mut shares,
         )?;
         let pending_transform = match g.get("xform") {
-            Some(x) => Some(FuncId(x.as_int("xform")? as u32)),
+            Some(x) => Some(FuncId(x.as_id("xform")?)),
             None => None,
         };
         globals.push(GlobalCell {
@@ -677,6 +710,61 @@ mod tests {
         assert_eq!(p.global_value("counter"), Some(Value::Int(7)));
     }
 
+    /// An id is loaded as written or not at all: one past `u32` (or below
+    /// zero) would otherwise wrap onto some other function, slot or struct.
+    #[test]
+    fn an_id_that_does_not_fit_is_refused_not_narrowed() {
+        let with = |fns: &str, slots: &str, value: &str| {
+            format!(
+                "{{\"fns\":{{{fns}}},\"slots\":[{slots}],\"structs\":{{}},\"globals\":\
+                 [{{\"name\":\"g\",\"ty\":\"int\",\"value\":{value}}}]}}"
+            )
+        };
+        let int = "{\"t\":\"int\",\"v\":1}";
+        assert!(decode_snapshot(&with("\"f\":4", "4", int)).is_ok());
+        for bad in [
+            with("\"f\":4294967300", "", int),
+            with("\"f\":-1", "", int),
+            with("", "4294967296", int),
+            with("", "", "{\"t\":\"fn\",\"direct\":4294967300}"),
+            with("", "", "{\"t\":\"fn\",\"slot\":-7}"),
+            with(
+                "",
+                "",
+                "{\"t\":\"rec\",\"id\":1,\"sid\":4294967299,\"v\":[]}",
+            ),
+            with("", "", "{\"t\":\"arr\",\"id\":-1,\"v\":[]}"),
+        ] {
+            let e = decode_snapshot(&bad).unwrap_err();
+            assert!(e.0.contains("out of range"), "{bad}: {e}");
+        }
+    }
+
+    /// A decoded snapshot is only as good as the process it lands on:
+    /// `fits` names the table or id that `restore` would index past.
+    #[test]
+    fn fits_rejects_tables_and_ids_the_process_does_not_have() {
+        use crate::process::{LinkMode, Process};
+
+        let empty = Process::new(LinkMode::Updateable);
+        assert_eq!(empty.snapshot().fits(&empty), Ok(()));
+        let snap = sample();
+        assert!(snap.fits(&empty).unwrap_err().contains("3 slots"));
+        let globals_only = BindingSnapshot {
+            fn_by_name: HashMap::new(),
+            slots: Vec::new(),
+            struct_by_name: HashMap::new(),
+            ..snap
+        };
+        assert!(globals_only.fits(&empty).unwrap_err().contains("4 globals"));
+        let named = BindingSnapshot {
+            fn_by_name: [("f".to_string(), FuncId(4))].into_iter().collect(),
+            globals: Vec::new(),
+            ..globals_only
+        };
+        assert!(named.fits(&empty).unwrap_err().contains("function 4"));
+    }
+
     #[test]
     fn malformed_input_is_an_error_not_a_panic() {
         for bad in [
@@ -684,8 +772,10 @@ mod tests {
             "{",
             "[1,2]",
             "{\"fns\":{}}",
+            &"[".repeat(1 << 20),
             "{\"fns\":{},\"slots\":[],\"structs\":{},\"globals\":[{\"name\":\"g\",\"ty\":\"??\",\"value\":{\"t\":\"int\",\"v\":1}}]}",
             "{\"fns\":{},\"slots\":[],\"structs\":{},\"globals\":[{\"name\":\"g\",\"ty\":\"int\",\"value\":{\"t\":\"ref\",\"id\":5}}]}",
+            "{\"fns\":{},\"slots\":[],\"structs\":{},\"globals\":[{\"name\":\"g\",\"ty\":\"int\",\"value\":{\"t\":\"arr\",\"id\":1,\"v\":[{\"t\":\"arr\",\"id\":1,\"v\":[]}]}}]}",
         ] {
             assert!(decode_snapshot(bad).is_err(), "{bad}");
         }

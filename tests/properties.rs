@@ -23,6 +23,11 @@
 //!   staged at some earlier point of the walk commits to exactly what an
 //!   unstaged apply produces on a twin process.
 //!
+//! * **Hostile state bytes** — truncated, bit-flipped, spliced and
+//!   re-numbered worker-state blobs taken along FlashEd walks are refused
+//!   with an error or load to a state that saves back byte-stable: never a
+//!   panic, never an id or length other than the one the bytes spell.
+//!
 //! Every test derives each case's generator from a fixed base seed, so
 //! failures reproduce by case index.
 
@@ -1102,4 +1107,171 @@ fn faulted_walks_converge_under_supervision() {
         }
         fleet.shutdown().unwrap();
     }
+}
+
+// ======================== hostile state bytes ========================
+
+/// Boots a fresh FlashEd v1 server and loads a worker-state blob into it
+/// the way a supervised respawn does — decode, replay the chain (strict),
+/// install ring and pending ops — then returns what that server saves.
+fn reload_worker_state(blob: &str, fs: &flashed::SimFs) -> Result<String, String> {
+    use flashed::{versions, Server, ServerConfig};
+
+    let (chain, inner) = dsu_core::decode_worker_state(blob)?;
+    let mut server = Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs.clone())
+        .map_err(|e| e.to_string())?;
+    // A mutated patch that still verifies may loop; nothing honest here
+    // needs more than this.
+    server.process_mut().set_fuel(Some(5_000_000));
+    for patch in chain {
+        server.queue_patch(patch);
+        server.apply_pending_now().map_err(|e| e.to_string())?;
+    }
+    server.load_updater_state(&inner)?;
+    Ok(server.updater.save_worker_state())
+}
+
+/// Worker-state blobs are what a supervised restart boots from, so their
+/// reader is held to: **an error, or exactly what the bytes say**. Blobs
+/// are taken after every hop of seeded FlashEd walks (forward to v4 or v5,
+/// then back down the snapshot ring, now and then with an op still
+/// queued; a cached file body holds multi-byte characters, so a damaged
+/// length can land inside one). Each is mutated by truncation, bit flips,
+/// splices and re-numbered digits. A mutant either fails to load — with
+/// an `Err`, never a panic — or loads to a state whose save loads back to
+/// the same bytes; junk appended where the format does not look loads to
+/// the original. The literal inputs are the panics and the one silent
+/// mis-load this reader used to have.
+#[test]
+fn hostile_state_bytes_load_as_written_or_not_at_all() {
+    use flashed::{patch_stream, versions, Server, ServerConfig, SimFs, Workload};
+
+    // ---- the literal cases ------------------------------------------
+    for bad in [
+        // A count sized before it was believed (capacity overflow).
+        "dsu-worker-state 1\nchain 18446744073709551615\n",
+        // Lengths that land inside a two-byte character.
+        "dsu-worker-state 1\nchain 1\npatch 1\né\nstate 0\n",
+        "dsu-worker-state 1\nchain 0\nstate 1\né",
+    ] {
+        assert!(dsu_core::decode_worker_state(bad).is_err(), "{bad:?}");
+    }
+    let mut proc = Process::new(LinkMode::Updateable);
+    let mut up = dsu_core::Updater::new();
+    let ring_of = |snapshot: &str| {
+        let ring = format!("dsu-snapshot-ring 1\ndepth 4\nentry\tv1\tv2\n{snapshot}\n");
+        format!("dsu-updater-state 1\nring {}\n{ring}", ring.len())
+    };
+    let empty = r#"{"fns":{},"slots":[],"structs":{},"globals":[]}"#;
+    let cases = [
+        (
+            "dsu-updater-state 1\nring 1\né".to_string(),
+            "truncated ring",
+        ),
+        (ring_of(empty) + "op-apply 0 1\né\n", "truncated patch"),
+        // An id past u32 used to load as `FuncId(4)`.
+        (
+            ring_of(&empty.replacen("{}", r#"{"f":4294967300}"#, 1)),
+            "out of range",
+        ),
+        // Three slots on a process with none: the restore of this entry
+        // used to index out of bounds inside the pause.
+        (
+            ring_of(&empty.replacen("[]", "[7,8,9]", 1)),
+            "does not fit the process: 3 slots",
+        ),
+    ];
+    for (bad, why) in &cases {
+        let e = up.load_state(&mut proc, bad).unwrap_err();
+        assert!(e.contains(why), "{bad:?}: {e}");
+    }
+    assert_eq!(up.load_state(&mut proc, &ring_of(empty)), Ok(0));
+    assert_eq!(up.snapshot_transitions().len(), 1);
+
+    // ---- the seeded walks -------------------------------------------
+    let fs = SimFs::generate_fixed(6, 96, 11);
+    let paths = fs.paths();
+    fs.write(paths[0].as_str(), "héllo wörld — ✓ naïve café ☕ 日本語");
+    let stream = patch_stream().unwrap();
+    let (mut refused, mut loaded) = (0usize, 0usize);
+
+    for case in 0..4u64 {
+        let mut rng = Rng::seed_from_u64(0xB17E5 ^ case);
+        let mut wl = Workload::new(paths.clone(), 1.0, 17 + case);
+        let mut server =
+            Server::start(&ServerConfig::new(), &versions::v1(), "v1", fs.clone()).unwrap();
+        let mut blobs = Vec::new();
+        // At least v4: the ring then holds a snapshot of v3's response cache.
+        let hops = rng.gen_range_usize(3, stream.len());
+        for gen in &stream[..hops] {
+            server.push_requests(wl.batch(12));
+            server.push_requests([format!("GET {} HTTP/1.0", paths[0])]);
+            server.queue_patch(gen.patch.clone());
+            if rng.gen_bool() {
+                // Saved with the hop still queued: an `op-apply` section.
+                blobs.push(server.updater.save_worker_state());
+            }
+            server.serve().unwrap();
+            blobs.push(server.updater.save_worker_state());
+        }
+        for _ in 0..rng.gen_range_usize(1, hops) {
+            assert_eq!(server.remote().enqueue_rollback_chain(1), 1);
+            if rng.gen_bool() {
+                blobs.push(server.updater.save_worker_state());
+            }
+            server.apply_pending_now().unwrap();
+            blobs.push(server.updater.save_worker_state());
+        }
+        assert!(blobs.iter().any(|b| !b.is_ascii()), "case {case}");
+
+        for (bi, blob) in blobs.iter().enumerate() {
+            // Untouched, a blob loads to exactly itself.
+            assert_eq!(reload_worker_state(blob, &fs).as_ref(), Ok(blob));
+            // Bytes past the last section are not the format's.
+            let padded = format!("{blob}\u{0}junk é");
+            assert_eq!(reload_worker_state(&padded, &fs).as_ref(), Ok(blob));
+
+            let bytes = blob.as_bytes();
+            for m in 0..24 {
+                let mut mutant = bytes.to_vec();
+                let at = rng.gen_range_usize(0, bytes.len() - 1);
+                match m % 4 {
+                    0 => mutant.truncate(at),
+                    1 => mutant[at] ^= 1 << rng.gen_range_usize(0, 7),
+                    2 => {
+                        let from = rng.gen_range_usize(0, bytes.len() - 1);
+                        let n = rng.gen_range_usize(1, 40).min(bytes.len() - from);
+                        let graft = bytes[from..from + n].to_vec();
+                        mutant.splice(at..(at + n).min(bytes.len()), graft);
+                    }
+                    _ => {
+                        // Re-number: the next digit becomes another digit
+                        // — a length, a count or an id that still parses.
+                        if let Some(d) = mutant[at..].iter_mut().find(|b| b.is_ascii_digit()) {
+                            *d = b'0' + (*d - b'0' + 1 + (at % 9) as u8) % 10;
+                        }
+                    }
+                }
+                // The reader takes `&str`: damage that breaks the
+                // encoding reaches it as replacement characters.
+                let mutant = String::from_utf8_lossy(&mutant).into_owned();
+                match reload_worker_state(&mutant, &fs) {
+                    Err(_) => refused += 1,
+                    Ok(saved) => {
+                        loaded += 1;
+                        assert_eq!(
+                            reload_worker_state(&saved, &fs).as_ref(),
+                            Ok(&saved),
+                            "case {case} blob {bi} mutant {m}: unstable load"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Both outcomes are exercised, or the property proved nothing.
+    assert!(
+        refused > 100 && loaded > 20,
+        "{refused} refused, {loaded} loaded"
+    );
 }

@@ -2,8 +2,8 @@
 //!
 //! For each version-to-version patch of the FlashEd development history:
 //! functions changed / carried by safety rules / added / removed, types
-//! changed, globals added, state transformers (and how many were
-//! synthesised automatically), and patch size.
+//! changed, globals added, hand-written state transformers, types remapped
+//! (converted record by record on first touch), and patch size.
 //!
 //! Run with: `cargo run --release -p dsu-bench --bin table1_patch_stats`
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     row(
         &[
             "patch", "changed", "carried", "added", "removed", "types", "globals", "xformers",
-            "auto", "bytes",
+            "remaps", "bytes",
         ],
         &widths,
     );
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &s.types_changed.to_string(),
                 &s.globals_added.to_string(),
                 &s.transformers.to_string(),
-                &s.transformers_auto.to_string(),
+                &s.types_remapped.to_string(),
                 &gen.patch.size_bytes().to_string(),
             ],
             &widths,

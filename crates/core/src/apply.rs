@@ -25,12 +25,14 @@
 //!   3. **link** — register new type versions, add new globals, resolve
 //!      the patch code against current bindings plus patch-internal
 //!      targets (this process's ids, so it cannot move either);
-//!   4. **bind** — atomically flip name/slot/type bindings and initialise
-//!      new globals (the guest is suspended at an update point throughout,
-//!      so guest-visibly this is one instant);
-//!   5. **transform** — run state transformers over the old global values
-//!      (reading old-layout records through their aliases) and commit the
-//!      new values.
+//!   4. **bind** — atomically flip name/slot/type bindings, arm the
+//!      manifest's remaps both ways (no record is touched: see
+//!      [`vm::remap`]) and initialise new globals (the guest is suspended
+//!      at an update point throughout, so guest-visibly this is one
+//!      instant);
+//!   5. **transform** — run hand-written state transformers over the old
+//!      global values (reading old-layout records through their aliases)
+//!      and commit the new values.
 //!
 //! There is one apply path: [`apply_patch`] is the commit step run with
 //! nothing staged. Any failure rolls the process back to its pre-update
@@ -77,20 +79,6 @@ fn probe_phase(name: &'static str) {
     });
 }
 
-/// When state transformers run relative to the update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransformTiming {
-    /// Run every transformer inside the update pause, staged and committed
-    /// atomically (the paper's design).
-    #[default]
-    Eager,
-    /// Arm transformers on their globals and run each on the global's
-    /// *first guest read* (Javelus-style lazy migration). Shrinks the
-    /// pause to O(1) per global at the price of a per-read pending check
-    /// and first-access latency — the trade-off the ablation quantifies.
-    Lazy,
-}
-
 /// Tunable update behaviour (the ablation axes of the evaluation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdatePolicy {
@@ -106,8 +94,6 @@ pub struct UpdatePolicy {
     /// type-change and signature-change rules in [`crate::compat`] still
     /// refuse the genuinely unsafe cases.
     pub refuse_active: bool,
-    /// Eager (paper) vs lazy state transformation.
-    pub transform: TransformTiming,
 }
 
 impl Default for UpdatePolicy {
@@ -115,7 +101,6 @@ impl Default for UpdatePolicy {
         UpdatePolicy {
             verify: true,
             refuse_active: false,
-            transform: TransformTiming::Eager,
         }
     }
 }
@@ -443,7 +428,7 @@ fn commit_spanned(
     // Everything past this point mutates the process; roll back on error.
     let before = proc.snapshot();
     let plan = ahead.map(|a| &a.plan);
-    match apply_linked(proc, patch, plan, policy, &mut timings, spans) {
+    match apply_linked(proc, patch, plan, &mut timings, spans) {
         Ok(globals_transformed) => {
             let m = &patch.manifest;
             let report = UpdateReport {
@@ -470,15 +455,14 @@ fn commit_spanned(
     }
 }
 
-/// Phases 3-5. Returns the number of globals transformed (or armed for
-/// lazy transformation). What [`compat::check`] guarantees is re-checked
-/// where it is relied on: a miss is an [`UpdateError::Compat`] the caller
-/// rolls back, never a panic inside the pause.
+/// Phases 3-5. Returns the number of globals transformed. What
+/// [`compat::check`] guarantees is re-checked where it is relied on: a miss
+/// is an [`UpdateError::Compat`] the caller rolls back, never a panic
+/// inside the pause.
 fn apply_linked(
     proc: &mut Process,
     patch: &Patch,
     plan: Option<&Plan>,
-    policy: UpdatePolicy,
     timings: &mut PhaseTimings,
     mut spans: Option<&mut PhaseSpanLog>,
 ) -> Result<usize, UpdateError> {
@@ -552,6 +536,12 @@ fn apply_linked(
         proc.unbind_function(name);
     }
     for (name, sid) in new_type_binds {
+        if m.remaps.iter().any(|r| r == name) {
+            let old = proc
+                .struct_id(name)
+                .ok_or_else(|| compat(format!("remapped type `{name}` is not bound")))?;
+            proc.arm_remap(old, sid).map_err(compat)?;
+        }
         proc.bind_type_name(name, sid);
     }
     timings.bind = t.elapsed();
@@ -583,40 +573,29 @@ fn apply_linked(
         s.push("init", t, timings.init);
     }
 
-    // Phase 5: transform.
+    // Phase 5: transform. Stage all new values against the *old* state,
+    // then commit, so transformers never observe each other's output.
     probe_phase("transform");
     let t = Instant::now();
-    match policy.transform {
-        TransformTiming::Eager => {
-            // Stage all new values against the *old* state, then commit,
-            // so transformers never observe each other's output.
-            let mut staged: Vec<(&str, Value)> = Vec::with_capacity(transformers.len());
-            for &(x, fid) in &transformers {
-                let old = proc.global_value(&x.global).ok_or_else(|| {
-                    compat(format!("transformer targets unknown global `{}`", x.global))
-                })?;
-                let new = proc
-                    .call_fid(fid, vec![old])
-                    .map_err(|trap| UpdateError::Transform {
-                        function: x.function.clone(),
-                        trap,
-                    })?;
-                staged.push((&x.global, new));
-            }
-            for (global, value) in staged {
-                proc.set_global(global, value);
-            }
-        }
-        TransformTiming::Lazy => {
-            // Arm the transformers; each runs on its global's first read.
-            for &(x, fid) in &transformers {
-                proc.set_pending_transform(&x.global, fid);
-            }
-        }
+    let mut staged: Vec<(&str, Value)> = Vec::with_capacity(transformers.len());
+    for &(x, fid) in &transformers {
+        let old = proc
+            .global_value(&x.global)
+            .ok_or_else(|| compat(format!("transformer targets unknown global `{}`", x.global)))?;
+        let new = proc
+            .call_fid(fid, vec![old])
+            .map_err(|trap| UpdateError::Transform {
+                function: x.function.clone(),
+                trap,
+            })?;
+        staged.push((&x.global, new));
+    }
+    for (global, value) in staged {
+        proc.set_global(global, value);
     }
     // Transformers are one-shot: unbind their names so they neither
     // pollute the interface nor pin old type versions against future
-    // updates (lazy mode keeps calling them through their FuncId).
+    // updates.
     for x in &m.transformers {
         proc.unbind_function(&x.function);
     }

@@ -11,9 +11,10 @@
 //!   convention);
 //! * a **removed** function must leave no live or active references;
 //! * a **changed type** requires every live function touching it to be
-//!   replaced/removed, every global mentioning it to have a state
-//!   transformer, and no active frame may touch it (active old code could
-//!   otherwise create old-layout records that new code then misreads);
+//!   replaced/removed, no active frame touching it (old code could mint
+//!   old-layout records into new-code paths), and either a **remap** that
+//!   derives both ways ([`vm::Remap::derive_both`]) or a state transformer
+//!   on every global whose type reaches it through any chain of fields;
 //! * **transformers** must have signature `(old-repr) -> new-repr`, where
 //!   the old representation is the global's type with changed names
 //!   rewritten to their patch-local aliases;
@@ -22,8 +23,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use tal::{SymbolKind, Ty, TypeDef};
-use vm::Process;
+use tal::{SymbolKind, Ty, TypeDef, TypeProvider};
+use vm::{Process, ProcessTypes, Remap};
 
 use crate::patch::{Manifest, Patch};
 use crate::report::UpdateError;
@@ -179,15 +180,28 @@ pub fn check(proc: &Process, patch: &Patch) -> Result<(), UpdateError> {
         if !offenders.is_empty() {
             return Err(UpdateError::ActiveCode(offenders));
         }
-        for cell in proc.globals() {
-            let mut mentioned = Vec::new();
-            cell.ty.collect_named(&mut mentioned);
-            if mentioned.iter().any(|t| t == tname)
-                && !m.transformers.iter().any(|x| x.global == cell.name)
-            {
+    }
+
+    // ---- remaps and transformer coverage ---------------------------------
+    for tname in &m.remaps {
+        if !m.type_changes.contains(tname) {
+            return err(format!("remapped type `{tname}` is not a type change"));
+        }
+        let old = proc.struct_def(proc.struct_id(tname).expect("checked bound"));
+        let new = patch.module.type_def(tname).expect("checked defined");
+        if let Err(why) = Remap::derive_both(old, new) {
+            return err(format!("type `{tname}` cannot be remapped: {why}"));
+        }
+    }
+    let unconverted = |t: &String| m.type_changes.contains(t) && !m.remaps.contains(t);
+    let uncovered = |g: &str| !m.transformers.iter().any(|x| x.global == g);
+    if m.type_changes.iter().any(unconverted) {
+        for cell in proc.globals().filter(|c| uncovered(&c.name)) {
+            let reached = reachable_types(&cell.ty, &ProcessTypes(proc));
+            if let Some(t) = reached.iter().find(|t| unconverted(t)) {
+                let g = &cell.name;
                 return err(format!(
-                    "global `{}` mentions changed type `{tname}` but has no transformer",
-                    cell.name
+                    "global `{g}` reaches changed type `{t}` but no transformer"
                 ));
             }
         }
@@ -262,6 +276,26 @@ fn check_manifest_duplicates(m: &Manifest) -> Result<(), UpdateError> {
         }
     }
     Ok(())
+}
+
+/// Every type name `ty` reaches through any chain of fields (and, to be
+/// conservative, array elements and signatures), its own included.
+pub(crate) fn reachable_types(ty: &Ty, types: &dyn TypeProvider) -> BTreeSet<String> {
+    let mut seen = BTreeSet::new();
+    let mut work = Vec::new();
+    ty.collect_named(&mut work);
+    while let Some(name) = work.pop() {
+        if seen.contains(&name) {
+            continue;
+        }
+        if let Some(def) = types.lookup_type(&name) {
+            for f in &def.fields {
+                f.ty.collect_named(&mut work);
+            }
+        }
+        seen.insert(name);
+    }
+    seen
 }
 
 /// Rewrites every changed type name in `ty` to its patch-local alias —

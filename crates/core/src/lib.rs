@@ -21,8 +21,7 @@
 //! * [`Updater`] — the runtime driver: queue patches, suspend at `update;`
 //!   points, apply, resume (old frames finish under old code);
 //! * [`PatchGen`] — the tooling: diff two source versions, carry in
-//!   everything safety requires, synthesise state transformers for
-//!   mechanical type changes;
+//!   everything safety requires, remap mechanical type changes;
 //! * [`SnapshotRing`] — first-class rollback: a bounded ring of
 //!   pre-update snapshots per process, driving both snapshot restores and
 //!   inverse-patch downgrades through the [`Updater`].
@@ -62,8 +61,7 @@ pub mod rollback;
 pub mod runtime;
 
 pub use apply::{
-    apply_patch, commit, set_phase_probe, stage, Certificate, StagedPatch, TransformTiming,
-    UpdatePolicy,
+    apply_patch, commit, set_phase_probe, stage, Certificate, StagedPatch, UpdatePolicy,
 };
 pub use iface::interface_of;
 pub use patch::{compile_patch, Manifest, Patch, Transformer, TypeAlias};
@@ -439,7 +437,6 @@ mod tests {
         let mut up = Updater::with_policy(UpdatePolicy {
             verify: true,
             refuse_active: true,
-            ..UpdatePolicy::default()
         });
         up.enqueue(&mut p, patch);
         let e = up.run(&mut p, "work", vec![]).unwrap_err();
@@ -464,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn patchgen_synthesises_struct_growth_transformer() {
+    fn patchgen_remaps_struct_growth() {
         let v1 = r#"
             struct item { name: string, qty: int }
             global inv: [item] = [item { name: "bolt", qty: 7 }];
@@ -487,8 +484,8 @@ mod tests {
         "#;
         let gen = PatchGen::new().generate(v1, v2, "v1", "v2").unwrap();
         assert_eq!(gen.stats.types_changed, 1);
-        assert_eq!(gen.stats.transformers_auto, 1);
-        assert!(gen.source.contains("item__old"), "{}", gen.source);
+        assert_eq!(gen.stats.types_remapped, 1);
+        assert!(!gen.source.contains("item__old"), "{}", gen.source);
 
         let mut p = boot(v1);
         apply_patch(&mut p, &gen.patch, UpdatePolicy::default()).unwrap();
@@ -649,12 +646,11 @@ mod tests {
     }
 
     #[test]
-    fn inverse_patch_downgrades_with_reverse_transformer() {
+    fn inverse_patch_downgrades_with_reverse_remap() {
         // Representation change: v2 grows `item` by a field. The inverse
-        // patch is generated by diffing the other way round; its reverse
-        // transformer mechanically shrinks the records while *preserving*
-        // state mutated since the upgrade — the property a snapshot
-        // restore cannot offer.
+        // patch is generated by diffing the other way round; its remap
+        // shrinks the records while *preserving* state mutated since the
+        // upgrade.
         // The update point lives in `work`, which never touches `item` —
         // compat (rightly) refuses type changes under frames that do.
         let v1 = r#"
@@ -677,7 +673,7 @@ mod tests {
         "#;
         let forward = PatchGen::new().generate(v1, v2, "v1", "v2").unwrap();
         let inverse = PatchGen::new().generate(v2, v1, "v2", "v1").unwrap();
-        assert_eq!(inverse.stats.transformers_auto, 1, "reverse transformer");
+        assert_eq!(inverse.stats.types_remapped, 1, "reverse remap");
 
         let mut p = boot(v1);
         let journal = dsu_obs::Journal::new();
@@ -697,7 +693,7 @@ mod tests {
 
         up.enqueue_rollback(&mut p, inverse.patch);
         // add runs under v2 (qty 21), then the downgrade lands; the
-        // reverse transformer shrinks the records, preserving qty.
+        // records shrink on first touch, preserving qty.
         assert_eq!(
             up.run(&mut p, "work", vec![Value::Int(6)]).unwrap(),
             Value::Int(21)
@@ -716,7 +712,7 @@ mod tests {
             (rb.from_version.as_str(), rb.to_version.as_str()),
             ("v2", "v1")
         );
-        assert_eq!(rb.globals_transformed, 1);
+        assert_eq!((rb.globals_transformed, rb.types_changed), (0, 1));
         // The undone transition's snapshot is retired from the ring: a
         // later snapshot rollback cannot "restore" v2.
         assert!(up.snapshot_transitions().is_empty());

@@ -5,7 +5,7 @@
 //! how the running program's bindings and state must change — which
 //! functions are replaced, added or removed, which types change version,
 //! how patch-local *alias* names map onto the old type registrations, and
-//! which state transformers convert existing global state.
+//! which remaps and state transformers convert existing state.
 
 use tal::Module;
 
@@ -49,6 +49,9 @@ pub struct Manifest {
     pub type_changes: Vec<String>,
     /// Patch-local aliases for old type versions.
     pub type_aliases: Vec<TypeAlias>,
+    /// Changed types whose records convert on first touch, both ways
+    /// ([`vm::Remap::derive_both`]). A subset of `type_changes`.
+    pub remaps: Vec<String>,
     /// State transformers to run at update time.
     pub transformers: Vec<Transformer>,
 }

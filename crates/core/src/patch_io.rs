@@ -13,8 +13,7 @@
 //! replace handle
 //! add cache_hits_total
 //! type-change cache_entry
-//! type-alias cache_entry__old = cache_entry
-//! transform cache = __xform_cache
+//! remap cache_entry
 //! ---module---
 //! module patch-v4 v4
 //! ...
@@ -79,6 +78,9 @@ pub fn save_patch(patch: &Patch) -> String {
     for x in &m.type_aliases {
         out.push_str(&format!("type-alias {} = {}\n", x.alias, x.target));
     }
+    for x in &m.remaps {
+        out.push_str(&format!("remap {x}\n"));
+    }
     for x in &m.transformers {
         out.push_str(&format!("transform {} = {}\n", x.global, x.function));
     }
@@ -126,6 +128,7 @@ pub fn load_patch(text: &str) -> Result<Patch, PatchIoError> {
             "remove" => manifest.removes.push(rest.to_string()),
             "new-global" => manifest.new_globals.push(rest.to_string()),
             "type-change" => manifest.type_changes.push(rest.to_string()),
+            "remap" => manifest.remaps.push(rest.to_string()),
             "type-alias" => {
                 let (alias, target) = rest
                     .split_once('=')
@@ -173,7 +176,9 @@ mod tests {
             fun get(i: int): int { return data[i].id; }
         "#;
         let gen = PatchGen::new().generate(v1, v2, "v1", "v2").unwrap();
+        assert_eq!(gen.patch.manifest.remaps, vec!["rec".to_string()]);
         let text = save_patch(&gen.patch);
+        assert!(text.contains("\nremap rec\n"), "{text}");
         let back = load_patch(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
         assert_eq!(back, gen.patch);
         // Stability: save(load(save(p))) == save(p).

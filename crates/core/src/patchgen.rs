@@ -4,20 +4,21 @@
 //! and next versions of a program's source, it computes which functions,
 //! types and globals changed; pulls in everything the update-safety rules
 //! require (callers of signature-changed functions, all code touching a
-//! changed type); synthesises **state transformer** functions where the
-//! change is mechanical (field-preserving struct growth/shrinkage, also
-//! element-wise over arrays); and compiles the result into a verified
-//! [`Patch`]. Changes it cannot transform automatically are reported so
-//! the programmer can supply a hand-written transformer.
+//! changed type); lists each changed type whose conversion is mechanical
+//! both ways ([`vm::Remap::derive_both`]) as a **remap**, converted on
+//! first touch; and compiles the result into a verified [`Patch`]. State it
+//! cannot convert is reported so the programmer can supply a hand-written
+//! transformer, which runs eagerly in the pause, as in the paper.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use popcorn::ast::{Item, Program};
 use popcorn::{pretty, Interface};
-use tal::{Module, SymbolKind, Ty, TypeDef};
+use tal::{Module, SymbolKind, TypeDef};
+use vm::Remap;
 
-use crate::compat::{rename_ty, rename_typedef};
+use crate::compat::{reachable_types, rename_typedef};
 use crate::patch::{compile_patch, Manifest, Patch, Transformer, TypeAlias};
 
 /// Suffix appended to a changed type's name to form its patch-local alias
@@ -25,7 +26,8 @@ use crate::patch::{compile_patch, Manifest, Patch, Transformer, TypeAlias};
 pub const ALIAS_SUFFIX: &str = "__old";
 
 /// A hand-written state transformer supplied to the generator for changes
-/// it cannot synthesise.
+/// it cannot convert mechanically. It runs eagerly, in the pause; the
+/// changed types its global reaches are not remapped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManualTransformer {
     /// The global this transformer converts.
@@ -41,14 +43,14 @@ pub struct ManualTransformer {
 pub enum PatchGenError {
     /// One of the two sources (or the composed patch) failed to compile.
     Compile(popcorn::CompileError),
-    /// A global needs state transformation that the generator cannot
-    /// synthesise; supply a [`ManualTransformer`].
+    /// A global needs state conversion that is not mechanical; supply a
+    /// [`ManualTransformer`].
     NeedsManualTransformer {
         /// The affected global.
         global: String,
         /// Its (new) type.
         ty: String,
-        /// Why synthesis failed.
+        /// Why no remap covers it.
         reason: String,
     },
 }
@@ -89,10 +91,10 @@ pub struct DiffStats {
     pub types_changed: usize,
     /// New globals.
     pub globals_added: usize,
-    /// State transformers in the patch (auto plus manual).
+    /// Hand-written state transformers in the patch.
     pub transformers: usize,
-    /// Transformers synthesised automatically.
-    pub transformers_auto: usize,
+    /// Changed types whose records convert on first touch.
+    pub types_remapped: usize,
 }
 
 /// A generated patch, its composed source, and diff statistics.
@@ -132,8 +134,8 @@ impl PatchGen {
     ///
     /// Returns [`PatchGenError::Compile`] when either source (or the
     /// composed patch) fails to compile, and
-    /// [`PatchGenError::NeedsManualTransformer`] when a state change is
-    /// beyond mechanical synthesis.
+    /// [`PatchGenError::NeedsManualTransformer`] when a global's state
+    /// change is not mechanical and no hand-written transformer covers it.
     pub fn generate(
         &self,
         old_src: &str,
@@ -148,7 +150,64 @@ impl PatchGen {
 
         let d = Diff::compute(&old_ast, &new_ast, &old_mod, &new_mod);
 
-        // ---- synthesize / collect transformers --------------------------
+        // ---- remaps, then transformers for what they do not cover ---------
+        let old_types: BTreeMap<String, TypeDef> = old_mod
+            .types
+            .iter()
+            .map(|t| (t.name.clone(), t.clone()))
+            .collect();
+        let reach = |g: &str| reachable_types(&old_mod.global(g).expect("diffed").ty, &old_types);
+        let manual = |g: &str| self.manual.iter().find(|m| m.global == g);
+        // A changed type a hand-written transformer's global reaches is
+        // that transformer's to convert; every other one is remapped when
+        // its conversion is mechanical both ways.
+        let owned: BTreeSet<String> = d
+            .globals_kept
+            .iter()
+            .filter(|g| manual(g).is_some())
+            .flat_map(|g| reach(g))
+            .collect();
+        let mut remaps = Vec::new();
+        let mut why_not: BTreeMap<&str, String> = BTreeMap::new();
+        for t in &d.types_changed {
+            let derived = if owned.contains(t) {
+                Err(format!("`{t}` is converted by a hand-written transformer"))
+            } else {
+                Remap::derive_both(&old_types[t], new_mod.type_def(t).expect("diffed"))
+            };
+            match derived {
+                Ok(_) => remaps.push(t.clone()),
+                Err(reason) => {
+                    why_not.insert(t, reason);
+                }
+            }
+        }
+        let mut xform_sources = Vec::new();
+        let mut transformers = Vec::new();
+        for g in &d.globals_kept {
+            let (old_ty, new_ty) = (
+                &old_mod.global(g).expect("diffed").ty,
+                &new_mod.global(g).expect("diffed").ty,
+            );
+            let reason = if old_ty != new_ty {
+                format!("type changed from {old_ty} to {new_ty}")
+            } else {
+                match reach(g).iter().find_map(|t| why_not.get(t.as_str())) {
+                    Some(reason) => reason.clone(),
+                    None => continue,
+                }
+            };
+            let man = manual(g).ok_or_else(|| PatchGenError::NeedsManualTransformer {
+                global: g.clone(),
+                ty: new_ty.to_string(),
+                reason,
+            })?;
+            xform_sources.push(man.source.clone());
+            transformers.push(Transformer {
+                global: g.clone(),
+                function: man.function.clone(),
+            });
+        }
         let alias_pairs: Vec<(String, String)> = d
             .types_changed
             .iter()
@@ -158,35 +217,6 @@ impl PatchGen {
             .iter()
             .map(|(t, a)| (t.as_str(), a.as_str()))
             .collect();
-        let mut xform_sources = Vec::new();
-        let mut transformers = Vec::new();
-        let mut auto = 0;
-        for g in &d.globals_needing_transform {
-            if let Some(man) = self.manual.iter().find(|m| &m.global == g) {
-                xform_sources.push(man.source.clone());
-                transformers.push(Transformer {
-                    global: g.clone(),
-                    function: man.function.clone(),
-                });
-                continue;
-            }
-            let old_ty = old_mod.global(g).expect("diffed").ty.clone();
-            let new_ty = new_mod.global(g).expect("diffed").ty.clone();
-            let src = synthesize_transformer(
-                g, to_version, &old_ty, &new_ty, &old_mod, &new_mod, &alias_map,
-            )
-            .map_err(|reason| PatchGenError::NeedsManualTransformer {
-                global: g.clone(),
-                ty: new_ty.to_string(),
-                reason,
-            })?;
-            xform_sources.push(src);
-            transformers.push(Transformer {
-                global: g.clone(),
-                function: xform_name(g, to_version),
-            });
-            auto += 1;
-        }
 
         // ---- compose the patch source ------------------------------------
         let mut source = String::new();
@@ -260,6 +290,7 @@ impl PatchGen {
             new_globals: d.globals_added.iter().cloned().collect(),
             type_changes: d.types_changed.iter().cloned().collect(),
             type_aliases,
+            remaps,
             transformers,
         };
 
@@ -274,8 +305,8 @@ impl PatchGen {
             functions_removed: d.functions_removed.len(),
             types_changed: d.types_changed.len(),
             globals_added: d.globals_added.len(),
-            transformers: d.globals_needing_transform.len(),
-            transformers_auto: auto,
+            transformers: patch.manifest.transformers.len(),
+            types_remapped: patch.manifest.remaps.len(),
         };
         Ok(GeneratedPatch {
             patch,
@@ -292,7 +323,8 @@ struct Diff {
     functions_in_patch: BTreeSet<String>,
     functions_removed: BTreeSet<String>,
     globals_added: BTreeSet<String>,
-    globals_needing_transform: BTreeSet<String>,
+    /// Globals both versions define.
+    globals_kept: BTreeSet<String>,
     functions_changed_count: usize,
     functions_carried_count: usize,
     functions_added_count: usize,
@@ -394,29 +426,11 @@ impl Diff {
         functions_in_patch.extend(added.iter().cloned());
         functions_in_patch.extend(carried.iter().cloned());
 
-        // Globals.
-        let old_globals: BTreeMap<&str, &Ty> = old_mod
+        let (globals_kept, globals_added) = new_mod
             .globals
             .iter()
-            .map(|g| (g.name.as_str(), &g.ty))
-            .collect();
-        let mut globals_added = BTreeSet::new();
-        let mut globals_needing_transform = BTreeSet::new();
-        for g in &new_mod.globals {
-            match old_globals.get(g.name.as_str()) {
-                None => {
-                    globals_added.insert(g.name.clone());
-                }
-                Some(old_ty) => {
-                    let mut mentioned = Vec::new();
-                    g.ty.collect_named(&mut mentioned);
-                    let mentions_changed = mentioned.iter().any(|t| types_changed.contains(t));
-                    if *old_ty != &g.ty || mentions_changed {
-                        globals_needing_transform.insert(g.name.clone());
-                    }
-                }
-            }
-        }
+            .map(|g| g.name.clone())
+            .partition(|g| old_mod.global(g).is_some());
 
         Diff {
             functions_changed_count: changed.len(),
@@ -427,24 +441,13 @@ impl Diff {
             functions_in_patch,
             functions_removed: removed,
             globals_added,
-            globals_needing_transform,
+            globals_kept,
         }
     }
 }
 
 fn alias_name(t: &str) -> String {
     format!("{t}{ALIAS_SUFFIX}")
-}
-
-/// Transformer names are qualified by target version so that successive
-/// patches transforming the same global do not collide in the flat
-/// function namespace (superseded transformers stay bound until code GC).
-fn xform_name(global: &str, to_version: &str) -> String {
-    let sane: String = to_version
-        .chars()
-        .map(|c| if c.is_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("__xform_{global}_{sane}")
 }
 
 /// Renders a `tal` type definition as Popcorn source.
@@ -476,99 +479,4 @@ pub fn interface_of_module(m: &Module) -> Interface {
         }
     }
     iface
-}
-
-/// Popcorn default expression for a field type, if one exists.
-fn default_expr(ty: &Ty) -> Option<String> {
-    match ty {
-        Ty::Int => Some("0".to_string()),
-        Ty::Bool => Some("false".to_string()),
-        Ty::Str => Some("\"\"".to_string()),
-        Ty::Named(_) => Some("null".to_string()),
-        Ty::Array(e) => Some(format!("new [{e}]")),
-        Ty::Unit | Ty::Fn(_) => None,
-    }
-}
-
-/// Synthesises a transformer for global `g` when the change is mechanical:
-/// the global's type is `T` or `[T]` for a single changed struct `T`, and
-/// every new field either carries over from the old struct (same name and
-/// type, the type not itself mentioning a changed name) or has a default.
-fn synthesize_transformer(
-    g: &str,
-    to_version: &str,
-    old_ty: &Ty,
-    new_ty: &Ty,
-    old_mod: &Module,
-    new_mod: &Module,
-    alias_map: &HashMap<&str, &str>,
-) -> Result<String, String> {
-    // Identical type, merely mentions a changed struct: supported shapes
-    // below. A global whose own type changed (e.g. int -> string) is not
-    // mechanical.
-    if old_ty != new_ty {
-        return Err(format!("type changed from {old_ty} to {new_ty}"));
-    }
-    match new_ty {
-        Ty::Named(t) => {
-            let body = record_conversion(t, "old", old_mod, new_mod, alias_map)?;
-            let old_repr = rename_ty(old_ty, alias_map);
-            Ok(format!(
-                "fun {name}(old: {old_repr}): {new_ty} {{\n    if (old == null) {{ return null; }}\n    return {body};\n}}\n",
-                name = xform_name(g, to_version),
-            ))
-        }
-        Ty::Array(elem) => {
-            let Ty::Named(t) = &**elem else {
-                return Err(format!("unsupported array element {elem}"));
-            };
-            let body = record_conversion(t, "o", old_mod, new_mod, alias_map)?;
-            let old_repr = rename_ty(old_ty, alias_map);
-            let elem_old = rename_ty(elem, alias_map);
-            Ok(format!(
-                "fun {name}(old: {old_repr}): {new_ty} {{\n    var out: {new_ty} = new [{elem}];\n    var i: int = 0;\n    while (i < len(old)) {{\n        var o: {elem_old} = old[i];\n        if (o == null) {{ push(out, null); }} else {{ push(out, {body}); }}\n        i = i + 1;\n    }}\n    return out;\n}}\n",
-                name = xform_name(g, to_version),
-            ))
-        }
-        other => Err(format!("unsupported shape {other}")),
-    }
-}
-
-/// Builds the record-literal expression converting `src_var` (old layout)
-/// into the new layout of changed struct `t`.
-fn record_conversion(
-    t: &str,
-    src_var: &str,
-    old_mod: &Module,
-    new_mod: &Module,
-    alias_map: &HashMap<&str, &str>,
-) -> Result<String, String> {
-    let Some(old_def) = old_mod.type_def(t) else {
-        return Err(format!("`{t}` has no old definition"));
-    };
-    let Some(new_def) = new_mod.type_def(t) else {
-        return Err(format!("`{t}` has no new definition"));
-    };
-    let mut fields = Vec::new();
-    for f in &new_def.fields {
-        let mut mentioned = Vec::new();
-        f.ty.collect_named(&mut mentioned);
-        let mentions_changed = mentioned.iter().any(|m| alias_map.contains_key(m.as_str()));
-        match old_def.fields.iter().find(|of| of.name == f.name) {
-            Some(of) if of.ty == f.ty && !mentions_changed => {
-                fields.push(format!("{}: {src_var}.{}", f.name, f.name));
-            }
-            Some(_) => {
-                return Err(format!(
-                    "field `{}` changed type or references a changed type",
-                    f.name
-                ))
-            }
-            None => match default_expr(&f.ty) {
-                Some(d) => fields.push(format!("{}: {d}", f.name)),
-                None => return Err(format!("new field `{}` has no default ({})", f.name, f.ty)),
-            },
-        }
-    }
-    Ok(format!("{t} {{ {} }}", fields.join(", ")))
 }

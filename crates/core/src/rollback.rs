@@ -5,10 +5,9 @@
 //! back, mirroring the two directions the paper's machinery already has:
 //!
 //! * **Inverse patch** — diff the versions the other way round
-//!   ([`crate::PatchGen`] diffs both directions; reverse state
-//!   transformers are synthesised for mechanical type changes) and apply
-//!   it like any patch. Current guest state is *preserved* through the
-//!   reverse transformers — counters keep counting, caches stay warm.
+//!   ([`crate::PatchGen`] diffs both directions; a mechanical type change
+//!   is remapped back) and apply it like any patch. Current guest state is
+//!   *preserved* — counters keep counting, caches stay warm.
 //! * **Snapshot restore** — pop the ring and restore the recorded
 //!   bindings, slots, type names and global values. Instant and
 //!   transformer-free, but best-effort about state: guest mutations made

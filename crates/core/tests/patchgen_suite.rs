@@ -115,7 +115,8 @@ fn struct_field_removal_is_mechanical() {
         fun first(): int { if (len(data) == 0) { return -1; } return data[0].id; }
     "#;
     let g = gen(old, new);
-    assert_eq!(g.stats.transformers_auto, 1, "field drop is mechanical");
+    assert_eq!(g.stats.types_remapped, 1, "field drop is mechanical");
+    assert_eq!(g.stats.transformers, 0);
     let mut p = boot(old);
     p.call("add", vec![Value::Int(42)]).unwrap();
     apply_patch(&mut p, &g.patch, UpdatePolicy::default()).unwrap();
@@ -142,7 +143,7 @@ fn field_type_change_requires_manual_transformer() {
 }
 
 #[test]
-fn scalar_named_global_transforms_with_null_guard() {
+fn scalar_named_global_remaps_and_null_survives() {
     let old = r#"
         struct cfg { port: int }
         global config: cfg = null;
@@ -154,8 +155,8 @@ fn scalar_named_global_transforms_with_null_guard() {
         fun port(): int { if (config == null) { return -1; } return config.port; }
     "#;
     let g = gen(old, new);
-    assert_eq!(g.stats.transformers_auto, 1);
-    // Null global survives (the generated transformer guards).
+    assert_eq!(g.stats.types_remapped, 1);
+    // A null global holds no record to convert.
     let mut p = boot(old);
     apply_patch(&mut p, &g.patch, UpdatePolicy::default()).unwrap();
     assert_eq!(p.call("port", vec![]).unwrap(), Value::Int(-1));
@@ -186,30 +187,35 @@ fn generated_patch_source_is_reusable_text() {
 }
 
 #[test]
-fn version_qualified_transformer_names_do_not_collide() {
-    let v1 = r#"
-        struct rec { id: int }
-        global data: [rec] = new [rec];
-        fun f(): int { return len(data); }
-    "#;
-    let v2 = r#"
-        struct rec { id: int, a: int }
-        global data: [rec] = new [rec];
-        fun f(): int { return len(data); }
-    "#;
-    let v3 = r#"
-        struct rec { id: int, a: int, b: int }
-        global data: [rec] = new [rec];
-        fun f(): int { return len(data); }
-    "#;
-    let g12 = PatchGen::new().generate(v1, v2, "v1", "v2").unwrap();
-    let g23 = PatchGen::new().generate(v2, v3, "v2", "v3").unwrap();
-    assert_ne!(
-        g12.patch.manifest.transformers[0].function,
-        g23.patch.manifest.transformers[0].function
-    );
-    let mut p = boot(v1);
+fn remaps_compose_across_successive_patches() {
+    let src = |fields: &str, init: &str| {
+        format!(
+            r#"
+            struct rec {{ id: int{fields} }}
+            global data: [rec] = new [rec];
+            fun add(n: int): int {{ push(data, rec {{ id: n{init} }}); return len(data); }}
+            fun ids(): int {{
+                var s: int = 0;
+                var i: int = 0;
+                while (i < len(data)) {{ s = s + data[i].id; i = i + 1; }}
+                return s;
+            }}
+            "#
+        )
+    };
+    let v1 = src("", "");
+    let v2 = src(", a: int", ", a: 1");
+    let v3 = src(", a: int, b: string", ", a: 1, b: \"b\"");
+    let g12 = PatchGen::new().generate(&v1, &v2, "v1", "v2").unwrap();
+    let g23 = PatchGen::new().generate(&v2, &v3, "v2", "v3").unwrap();
+    assert!(g12.patch.manifest.transformers.is_empty());
+    assert_eq!(g23.patch.manifest.remaps, vec!["rec".to_string()]);
+    let mut p = boot(&v1);
+    p.call("add", vec![Value::Int(5)]).unwrap();
     apply_patch(&mut p, &g12.patch, UpdatePolicy::default()).unwrap();
+    p.call("add", vec![Value::Int(7)]).unwrap();
     apply_patch(&mut p, &g23.patch, UpdatePolicy::default()).unwrap();
-    assert_eq!(p.call("f", vec![]).unwrap(), Value::Int(0));
+    // The v1 record crosses two hops at once, the v2 record one.
+    assert_eq!(p.call("ids", vec![]).unwrap(), Value::Int(12));
+    assert_eq!(p.stats.records_migrated, 2);
 }

@@ -3,7 +3,7 @@
 //! the telemetry journal, when attached, must agree with it event for
 //! event.
 
-use dsu_core::{apply_patch, PatchGen, PhaseTimings, UpdatePolicy, Updater};
+use dsu_core::{apply_patch, ManualTransformer, PatchGen, PhaseTimings, UpdatePolicy, Updater};
 use dsu_obs::journal::{validate_lifecycle, Stage};
 use dsu_obs::Journal;
 use std::time::Duration;
@@ -14,6 +14,25 @@ fn boot(src: &str) -> Process {
     let mut p = Process::new(LinkMode::Updateable);
     p.load_module(&m).unwrap();
     p
+}
+
+/// A generator whose patch converts `data: [rec]` (gaining `hot: bool`)
+/// with a hand-written transformer: eagerly, inside the pause, where a
+/// remap would leave the records for their first touch.
+fn eager_data() -> PatchGen {
+    PatchGen::new().with_manual(ManualTransformer {
+        global: "data".into(),
+        function: "xdata".into(),
+        source: r#"
+            fun xdata(old: [rec__old]): [rec] {
+                var out: [rec] = new [rec];
+                var i: int = 0;
+                while (i < len(old)) { push(out, rec { id: old[i].id, hot: false }); i = i + 1; }
+                return out;
+            }
+        "#
+        .into(),
+    })
 }
 
 /// Applies a patch that exercises every phase (verify, compat, link,
@@ -43,7 +62,7 @@ fn phases_sum_exactly_to_total() {
             return s;
         }
     "#;
-    let gen = PatchGen::new().generate(old, new, "v1", "v2").unwrap();
+    let gen = eager_data().generate(old, new, "v1", "v2").unwrap();
     assert!(
         !gen.patch.manifest.new_globals.is_empty(),
         "patch must add a global"
@@ -264,7 +283,7 @@ fn a_big_state_pause_is_all_in_its_buckets() {
     let new = &old
         .replace("{ id: int }", "{ id: int, hot: bool }")
         .replace("{ id: i }", "{ id: i, hot: false }");
-    let gen = PatchGen::new().generate(old, new, "v1", "v2").unwrap();
+    let gen = eager_data().generate(old, new, "v1", "v2").unwrap();
 
     let mut best = [f64::MAX; 2];
     for _ in 0..5 {

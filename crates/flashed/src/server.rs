@@ -390,6 +390,10 @@ pub struct Server {
     event: Option<Arc<EventState>>,
     /// Pull-id source shared with the `next_request` host closure.
     pull_ids: Arc<AtomicU64>,
+    /// Pulled requests not yet answered, oldest first.
+    outstanding: Arc<Mutex<VecDeque<PullRec>>>,
+    /// Answers the oldest outstanding pull (the `send_response` host).
+    respond: Arc<dyn Fn(String) + Send + Sync>,
     /// The one queue this server pulls requests from: its own, a
     /// fleet-wide shared one, or the inbox an [`Edge`](crate::Edge)
     /// routes to it.
@@ -667,48 +671,54 @@ impl Server {
                 }),
             );
         }
-        {
+        let respond: Arc<dyn Fn(String) + Send + Sync> = {
             let completions = Arc::clone(&shared.completions);
             let outstanding = Arc::clone(&outstanding);
             let pauses: PauseLog = updater.pause_log();
             let tel = telemetry.clone();
+            Arc::new(move |response: String| {
+                let rec = outstanding.lock().expect("poisoned").pop_front();
+                let (service, update_pause, queue_wait, request_id) = match &rec {
+                    Some(r) => {
+                        let raw = r.t0.elapsed();
+                        // Suspensions at update points between this
+                        // request's pull and its response are update
+                        // pause, not service time.
+                        let pause = pauses.paused_since(r.t0);
+                        (raw.saturating_sub(pause), pause, r.queue_wait, Some(r.id))
+                    }
+                    None => (Duration::ZERO, Duration::ZERO, Duration::ZERO, None),
+                };
+                let pulled = request_id.is_some();
+                if let Some(tel) = &tel {
+                    tel.record_response(pulled.then_some(service));
+                    if pulled {
+                        tel.record_sojourn(queue_wait + service);
+                    }
+                    if let (Some(r), Some(tracer)) = (&rec, tel.tracer()) {
+                        if tracer.sample() {
+                            record_request_spans(tracer, tel.worker(), r);
+                        }
+                    }
+                }
+                completions.lock().expect("poisoned").push(Completion {
+                    at: started.elapsed(),
+                    service,
+                    update_pause,
+                    queue_wait,
+                    pulled,
+                    request_id,
+                    response,
+                });
+            })
+        };
+        {
+            let respond = Arc::clone(&respond);
             proc.register_host(
                 "send_response",
                 FnSig::new(vec![Ty::Str], Ty::Unit),
                 Box::new(move |args| {
-                    let rec = outstanding.lock().expect("poisoned").pop_front();
-                    let (service, update_pause, queue_wait, request_id) = match &rec {
-                        Some(r) => {
-                            let raw = r.t0.elapsed();
-                            // Suspensions at update points between this
-                            // request's pull and its response are update
-                            // pause, not service time.
-                            let pause = pauses.paused_since(r.t0);
-                            (raw.saturating_sub(pause), pause, r.queue_wait, Some(r.id))
-                        }
-                        None => (Duration::ZERO, Duration::ZERO, Duration::ZERO, None),
-                    };
-                    let pulled = request_id.is_some();
-                    if let Some(tel) = &tel {
-                        tel.record_response(pulled.then_some(service));
-                        if pulled {
-                            tel.record_sojourn(queue_wait + service);
-                        }
-                        if let (Some(r), Some(tracer)) = (&rec, tel.tracer()) {
-                            if tracer.sample() {
-                                record_request_spans(tracer, tel.worker(), r);
-                            }
-                        }
-                    }
-                    completions.lock().expect("poisoned").push(Completion {
-                        at: started.elapsed(),
-                        service,
-                        update_pause,
-                        queue_wait,
-                        pulled,
-                        request_id,
-                        response: args[0].as_str().to_string(),
-                    });
+                    respond(args[0].as_str().to_string());
                     Ok(Value::Unit)
                 }),
             );
@@ -736,6 +746,8 @@ impl Server {
             pauses_seen: 0,
             event,
             pull_ids,
+            outstanding,
+            respond,
             inbox,
             fs,
             fault,
@@ -766,18 +778,43 @@ impl Server {
     /// of ready requests as completions arrive — until queue, parked set
     /// and ready queue are all empty.
     ///
+    /// A guest trap answers each pulled, unanswered request with HTTP 500
+    /// and serving goes on (the trapped run's count is lost).
+    ///
     /// # Errors
     ///
-    /// Returns [`RunError`] when the guest traps or a queued patch fails.
+    /// Returns [`RunError`] when the guest traps with no request pulled, or
+    /// a queued patch fails.
     pub fn serve(&mut self) -> Result<i64, RunError> {
         if let Some(ev) = self.event.clone() {
             return self.serve_event(&ev);
         }
-        let v = self.updater.run(&mut self.proc, "serve", vec![]);
+        let v = self.run_guest();
         // Publish even when the run errored: the counters up to the trap
         // (and any pauses the failed update incurred) are still real.
         self.publish_telemetry();
         Ok(v?.as_int())
+    }
+
+    /// Runs the guest `serve` loop, again after each trap that
+    /// [`Server::fail_pulled`] answered.
+    fn run_guest(&mut self) -> Result<Value, RunError> {
+        loop {
+            match self.updater.run(&mut self.proc, "serve", vec![]) {
+                Err(RunError::Trap(_)) if self.fail_pulled() => {}
+                v => return v,
+            }
+        }
+    }
+
+    /// Answers every pulled, unanswered request with HTTP 500; `false` when
+    /// there is none, so a trap outside any request is the caller's.
+    fn fail_pulled(&self) -> bool {
+        let n = self.outstanding.lock().expect("poisoned").len();
+        for _ in 0..n {
+            (self.respond)("HTTP/1.0 500 Internal Server Error\r\n\r\n".to_string());
+        }
+        n > 0
     }
 
     /// The AMPED host loop (see [`ServeMode::EventLoop`]).
@@ -788,8 +825,7 @@ impl Server {
             ev.reap();
             let have_ready = !ev.ready.lock().expect("poisoned").is_empty();
             if have_ready {
-                let v = self.updater.run(&mut self.proc, "serve", vec![]);
-                match v {
+                match self.run_guest() {
                     Ok(v) => served += v.as_int(),
                     Err(e) => {
                         self.publish_telemetry();

@@ -706,6 +706,7 @@ mod tests {
             update_points: 2,
             pool_hits: 9,
             pool_misses: 1,
+            records_migrated: 0,
         };
         t.publish_vm_stats(&stats);
         assert_eq!(t.vm_stats().snapshot().instrs, 100);

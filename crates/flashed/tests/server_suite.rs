@@ -354,3 +354,30 @@ fn standalone_server_stamps_queue_wait_from_the_push() {
         assert!(c.queue_wait >= held, "{:?}", c.queue_wait);
     }
 }
+
+/// A record no armed remap converts traps the request that touches it
+/// (`Trap::StaleRecord`, never a panic): that request is answered with
+/// HTTP 500 and the server keeps serving. Once a remap is armed the same
+/// record converts and the request succeeds.
+#[test]
+fn a_stale_record_fails_its_request_with_a_500() {
+    let (fs, _) = small_fixture();
+    let path = fs.paths()[0].clone();
+    let mut s = Server::start(&ServerConfig::new(), &versions::v3(), "v3", fs).unwrap();
+    let p = s.process_mut();
+    let bound = p.struct_id("cache_entry").unwrap();
+    let stray = p.register_struct(p.struct_def(bound).clone());
+    let entry = Value::record(stray, vec![Value::str(&path), Value::str("stale")]);
+    assert!(p.set_global("cache", Value::array(vec![entry])));
+    let statuses = |s: &mut Server, n: usize| {
+        s.push_requests(Workload::new(vec![path.clone()], 1.0, 1).batch(n));
+        s.serve().unwrap();
+        let done = s.take_completions();
+        done.iter()
+            .map(|c| parse_response(&c.response).unwrap().status)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(statuses(&mut s, 2), [500, 500]);
+    s.process_mut().arm_remap(stray, bound).unwrap();
+    assert_eq!(statuses(&mut s, 1), [200]);
+}

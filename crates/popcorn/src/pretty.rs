@@ -1,7 +1,7 @@
 //! Pretty-printer: AST → canonical Popcorn source.
 //!
 //! The patch generator composes patch *source* out of items taken from two
-//! program versions plus synthesised state transformers; this module renders
+//! program versions plus hand-written state transformers; this module renders
 //! AST items back to compilable text. The canonical form also gives a
 //! line-number-insensitive equality for diffing: two items are considered
 //! unchanged when their renderings agree.

@@ -47,7 +47,6 @@
 //! * `LoadLocal r; GetField f` → [`DOp::LocalGetField`]
 //! * `LoadLocal a; LoadLocal i; ArrayGet` → [`DOp::LocalArrayGet`]
 //! * `LoadGlobal g; LoadLocal i; ArrayGet` → [`DOp::GlobalArrayGet`]
-//!   (a pending lazy transformer on `g` still runs first)
 //! * `LoadLocal a; ArrayLen` → [`DOp::LocalArrayLen`]
 //!
 //! Arithmetic, compares and calls:
@@ -186,14 +185,14 @@ pub enum DOp {
     CmpConst(Cmp, i64),
     /// `LoadLocal a; LoadLocal b`.
     LoadLocal2(u16, u16),
-    /// `LoadLocal r; GetField f`: push field `f` of the record in local
-    /// `r` (traps on `null`).
-    LocalGetField(u16, u16),
+    /// `LoadLocal r; GetField s f`: push field `f` of the record in local
+    /// `r`, expected in layout `s` (traps on `null`).
+    LocalGetField(u16, StructId, u16),
     /// `LoadLocal a; LoadLocal i; ArrayGet`: push element `locals[i]` of
     /// the array in local `a` (traps out of bounds).
     LocalArrayGet(u16, u16),
     /// `LoadGlobal g; LoadLocal i; ArrayGet`: push element `locals[i]` of
-    /// the array in global `g`, after any pending lazy transformer.
+    /// the array in global `g`.
     GlobalArrayGet(GlobalId, u16),
     /// `LoadLocal a; ArrayLen`: push the length of the array in local `a`.
     LocalArrayLen(u16),
@@ -288,10 +287,10 @@ pub enum DOp {
     JumpIfFalse(u32),
     /// Allocate a record with the given layout and field count.
     NewRecord(StructId, u16),
-    /// Read field `i`.
-    GetField(u16),
-    /// Write field `i`.
-    SetField(u16),
+    /// Read field `i` of a record expected in this layout.
+    GetField(StructId, u16),
+    /// Write field `i` of a record expected in this layout.
+    SetField(StructId, u16),
     /// Null test.
     IsNull,
     /// Allocate an empty array.
@@ -358,8 +357,8 @@ fn lower_one(op: &Op) -> DOp {
         Op::CallHost(id, argc) => DOp::CallHost(*id, *argc),
         Op::Ret => DOp::Ret,
         Op::NewRecord(sid, n) => DOp::NewRecord(*sid, *n),
-        Op::GetField(i) => DOp::GetField(*i),
-        Op::SetField(i) => DOp::SetField(*i),
+        Op::GetField(sid, i) => DOp::GetField(*sid, *i),
+        Op::SetField(sid, i) => DOp::SetField(*sid, *i),
         Op::IsNull => DOp::IsNull,
         Op::NewArray => DOp::NewArray,
         Op::ArrayGet => DOp::ArrayGet,
@@ -381,7 +380,7 @@ fn access_path(code: &[Op], is_target: &[bool], i: usize) -> Option<(DOp, usize)
         return None;
     }
     match (&code[i], &code[i + 1]) {
-        (Op::LoadLocal(r), Op::GetField(f)) => Some((DOp::LocalGetField(*r, *f), 2)),
+        (Op::LoadLocal(r), Op::GetField(sid, f)) => Some((DOp::LocalGetField(*r, *sid, *f), 2)),
         (Op::LoadLocal(a), Op::ArrayLen) => Some((DOp::LocalArrayLen(*a), 2)),
         (base, Op::LoadLocal(n)) if free(i + 2) && matches!(code[i + 2], Op::ArrayGet) => {
             match base {
@@ -580,7 +579,7 @@ mod tests {
         let g = GlobalId(7);
         let code = vec![
             Op::LoadLocal(3),
-            Op::GetField(1),
+            Op::GetField(StructId(5), 1),
             Op::LoadLocal(0),
             Op::LoadLocal(2),
             Op::ArrayGet,
@@ -596,7 +595,7 @@ mod tests {
             matches!(
                 d.as_slice(),
                 [
-                    DOp::LocalGetField(3, 1),
+                    DOp::LocalGetField(3, StructId(5), 1),
                     DOp::LocalArrayGet(0, 2),
                     DOp::GlobalArrayGet(GlobalId(7), 2),
                     DOp::LocalArrayLen(0),
@@ -658,16 +657,16 @@ mod tests {
     fn access_paths_never_absorb_a_jump_target() {
         // Each `Jump` lands inside what would otherwise be one path.
         let code = vec![
-            Op::LoadLocal(0),            // 0
-            Op::GetField(0),             // 1 <- target
-            Op::LoadLocal(0),            // 2
-            Op::ArrayLen,                // 3 <- target
-            Op::LoadLocal(0),            // 4
-            Op::LoadLocal(1),            // 5
-            Op::ArrayGet,                // 6 <- target
-            Op::LoadGlobal(GlobalId(0)), // 7
-            Op::LoadLocal(1),            // 8 <- target
-            Op::ArrayGet,                // 9
+            Op::LoadLocal(0),             // 0
+            Op::GetField(StructId(0), 0), // 1 <- target
+            Op::LoadLocal(0),             // 2
+            Op::ArrayLen,                 // 3 <- target
+            Op::LoadLocal(0),             // 4
+            Op::LoadLocal(1),             // 5
+            Op::ArrayGet,                 // 6 <- target
+            Op::LoadGlobal(GlobalId(0)),  // 7
+            Op::LoadLocal(1),             // 8 <- target
+            Op::ArrayGet,                 // 9
             Op::Jump(1),
             Op::Jump(3),
             Op::Jump(6),
@@ -679,7 +678,7 @@ mod tests {
                 d.as_slice(),
                 [
                     DOp::LoadLocal(0),
-                    DOp::GetField(0),
+                    DOp::GetField(StructId(0), 0),
                     DOp::LoadLocal(0),
                     DOp::ArrayLen,
                     DOp::LoadLocal2(0, 1),

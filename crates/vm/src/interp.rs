@@ -19,11 +19,13 @@
 //! The dispatch loop borrows the frame's locals, operand stack and code
 //! once on entry and keeps the instruction pointer and the instruction
 //! counter in locals. It stores both back on every way out — call,
-//! return, suspension, trap — and around the two places it hands control
-//! elsewhere mid-frame, host calls and lazy state transformers. So
-//! `ExecStats::instrs` always counts one per decoded op, fuel is exact
-//! across frames, and a run suspended at `update;` resumes at the
-//! instruction after it, under the code its frames pinned.
+//! return, suspension, trap — and around the one place it hands control
+//! elsewhere mid-frame, host calls. So `ExecStats::instrs` always counts
+//! one per decoded op, fuel is exact across frames, and a run suspended at
+//! `update;` resumes at the instruction after it, under the code its
+//! frames pinned. A field access compares the layout its code was linked
+//! against with the record's — the only layout check — and converts a
+//! mismatched record in place first ([`crate::remap`]).
 
 use std::cell::Ref;
 use std::rc::Rc;
@@ -34,7 +36,7 @@ use tal::Ty;
 use crate::decode::{DOp, InlineCache};
 use crate::process::{LinkedFunction, Process};
 use crate::trap::Trap;
-use crate::value::{FnRef, FuncId, GlobalId, Value};
+use crate::value::{FnRef, RecordObj, StructId, Value};
 
 /// Cumulative execution counters, used by the benchmark harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,6 +59,8 @@ pub struct ExecStats {
     pub pool_hits: u64,
     /// Guest calls that had to allocate fresh frame buffers.
     pub pool_misses: u64,
+    /// Records converted to another layout on first touch.
+    pub records_migrated: u64,
 }
 
 /// A cross-thread mirror of one process's [`ExecStats`].
@@ -78,6 +82,7 @@ pub struct ExecStatsShared {
     update_points: AtomicU64,
     pool_hits: AtomicU64,
     pool_misses: AtomicU64,
+    records_migrated: AtomicU64,
 }
 
 impl ExecStatsShared {
@@ -99,6 +104,8 @@ impl ExecStatsShared {
             .store(stats.update_points, Ordering::Relaxed);
         self.pool_hits.store(stats.pool_hits, Ordering::Relaxed);
         self.pool_misses.store(stats.pool_misses, Ordering::Relaxed);
+        self.records_migrated
+            .store(stats.records_migrated, Ordering::Relaxed);
     }
 
     /// The most recently published counters (relaxed loads).
@@ -113,6 +120,7 @@ impl ExecStatsShared {
             update_points: self.update_points.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pool_misses: self.pool_misses.load(Ordering::Relaxed),
+            records_migrated: self.records_migrated.load(Ordering::Relaxed),
         }
     }
 }
@@ -280,13 +288,18 @@ fn top_int(stack: &mut [Value]) -> &mut i64 {
     }
 }
 
-/// Field `i` of the record `r`, borrowed in place.
+/// The record `r` in layout `sid`, converted first if it is in another.
+/// Any field index the code uses is then in range: `tal::verify` bounds it
+/// by the field count of the type it names, link resolved `sid` from that
+/// name, and a record in layout `sid` has exactly that many fields
+/// (`NewRecord`, a remap, or a snapshot checked by `BindingSnapshot::fits`).
 #[inline(always)]
-fn record_field(r: &Value, i: u16) -> Result<Ref<'_, Value>, Trap> {
+fn record_in<'a>(proc: &mut Process, r: &'a Value, sid: StructId) -> Result<&'a RecordObj, Trap> {
     match r {
-        Value::Record(rec) => Ok(Ref::map(rec.fields.borrow(), |f| &f[i as usize])),
+        Value::Record(rec) if rec.struct_id.get() == sid => Ok(rec),
+        Value::Record(rec) => proc.migrate(rec, sid).map(|()| &**rec),
         Value::Null => Err(Trap::NullDeref),
-        v => panic!("verified code read field of {v:?}"),
+        v => panic!("verified code accessed a field of {v:?}"),
     }
 }
 
@@ -311,19 +324,6 @@ fn array_len(a: &Value) -> Value {
         panic!("verified code measured {a:?}")
     };
     Value::Int(a.borrow().len() as i64)
-}
-
-/// Lazy state transformation: a pending transformer runs on first read
-/// (the flag clears first, so the transformer may itself read this global
-/// and see the old value).
-#[cold]
-fn run_pending_transform(proc: &mut Process, id: GlobalId, fid: FuncId) -> Result<(), Trap> {
-    let cell = proc.global_cell_mut(id);
-    cell.pending_transform = None;
-    let old = cell.value.clone();
-    let new = proc.call_fid(fid, vec![old])?;
-    proc.global_cell_mut(id).value = new;
-    Ok(())
 }
 
 /// Runs `st` to completion (or suspension) against `proc`.
@@ -455,19 +455,6 @@ fn run_frame(
                 *a = $f(*a, b);
             }};
         }
-        // A pending lazy transformer re-enters the interpreter: store the
-        // counters first, and pick up what the nested run counted.
-        macro_rules! settle_global {
-            ($id:expr) => {
-                if let Some(fid) = proc.global_cell($id).pending_transform {
-                    *frame_pc = pc!();
-                    proc.stats.instrs = instrs;
-                    let done = run_pending_transform(proc, $id, fid);
-                    instrs = proc.stats.instrs;
-                    tri!(done);
-                }
-            };
-        }
 
         let op = ip.next().expect("verified code ends in a return");
         instrs += 1;
@@ -553,9 +540,9 @@ fn run_frame(
                 push_clone!(&locals[*n as usize]);
                 push_clone!(&locals[*m as usize]);
             }
-            DOp::LocalGetField(r, f) => {
-                let v = tri!(record_field(&locals[*r as usize], *f));
-                push!(Value::clone(&v));
+            DOp::LocalGetField(r, sid, f) => {
+                let rec = tri!(record_in(proc, &locals[*r as usize], *sid));
+                push!(rec.fields.borrow()[*f as usize].clone());
             }
             DOp::LocalArrayGet(a, i) => {
                 let i = locals[*i as usize].as_int();
@@ -563,7 +550,6 @@ fn run_frame(
                 push!(Value::clone(&v));
             }
             DOp::GlobalArrayGet(id, i) => {
-                settle_global!(*id);
                 let i = locals[*i as usize].as_int();
                 let v = tri!(array_elem(&proc.global_cell(*id).value, i));
                 push!(Value::clone(&v));
@@ -583,16 +569,9 @@ fn run_frame(
                 (Some(Value::Int(_)), Value::Int(slot)) => *slot = pop!(stack, Int),
                 (_, slot) => *slot = stack.pop().expect("verified"),
             },
-            DOp::LoadGlobal(id) => {
-                settle_global!(*id);
-                push!(proc.global_cell(*id).value.clone());
-            }
+            DOp::LoadGlobal(id) => push!(proc.global_cell(*id).value.clone()),
             DOp::StoreGlobal(id) => {
-                let cell = proc.global_cell_mut(*id);
-                // A whole-value overwrite by (necessarily new) code
-                // supersedes any pending lazy transform.
-                cell.pending_transform = None;
-                cell.value = stack.pop().expect("verified");
+                proc.global_cell_mut(*id).value = stack.pop().expect("verified");
             }
             DOp::Dup => {
                 let v = stack.last().expect("verified").clone();
@@ -653,7 +632,9 @@ fn run_frame(
                 let start = pop!(stack, Int);
                 let s = pop!(stack, Str);
                 let start = start.clamp(0, s.len() as i64) as usize;
-                let end = (start as i64 + len.max(0)).clamp(start as i64, s.len() as i64) as usize;
+                let end = (start as i64)
+                    .saturating_add(len.max(0))
+                    .clamp(start as i64, s.len() as i64) as usize;
                 // Clamp to char boundaries to keep the operation total on UTF-8.
                 let start = floor_char_boundary(&s, start);
                 let end = floor_char_boundary(&s, end);
@@ -700,18 +681,15 @@ fn run_frame(
                 let fields = stack.split_off(at);
                 push!(Value::record(*sid, fields));
             }
-            DOp::GetField(i) => {
+            DOp::GetField(sid, i) => {
                 let r = stack.pop().expect("verified");
-                let v = tri!(record_field(&r, *i));
-                push!(Value::clone(&v));
+                let rec = tri!(record_in(proc, &r, *sid));
+                push!(rec.fields.borrow()[*i as usize].clone());
             }
-            DOp::SetField(i) => {
+            DOp::SetField(sid, i) => {
                 let v = stack.pop().expect("verified");
-                match stack.pop().expect("verified") {
-                    Value::Record(rec) => rec.fields.borrow_mut()[*i as usize] = v,
-                    Value::Null => trap!(Trap::NullDeref),
-                    other => panic!("verified code wrote field of {other:?}"),
-                }
+                let r = stack.pop().expect("verified");
+                tri!(record_in(proc, &r, *sid)).fields.borrow_mut()[*i as usize] = v;
             }
             DOp::IsNull => {
                 let r = stack.pop().expect("verified");

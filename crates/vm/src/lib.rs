@@ -38,6 +38,7 @@ pub mod interp;
 pub mod ops;
 pub mod process;
 pub mod profile;
+pub mod remap;
 pub mod snapshot_io;
 pub mod trap;
 pub mod value;
@@ -50,6 +51,7 @@ pub use process::{
     PlannedBindings, Process, ProcessTypes, UpdateSignal, WakeFn,
 };
 pub use profile::{Profiler, SiteStats};
+pub use remap::Remap;
 pub use snapshot_io::{decode_snapshot, encode_snapshot, SnapshotCodecError};
 pub use trap::{LinkError, Trap};
 pub use value::{FnRef, FuncId, GlobalId, HostId, RecordObj, SlotId, StructId, Value};

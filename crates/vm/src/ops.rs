@@ -106,10 +106,10 @@ pub enum Op {
     Ret,
     /// Allocate a record with the given layout and field count.
     NewRecord(StructId, u16),
-    /// Read field `i`.
-    GetField(u16),
-    /// Write field `i`.
-    SetField(u16),
+    /// Read field `i` of a record the code expects in this layout.
+    GetField(StructId, u16),
+    /// Write field `i` of a record the code expects in this layout.
+    SetField(StructId, u16),
     /// Null test.
     IsNull,
     /// Allocate an empty array.

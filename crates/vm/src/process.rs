@@ -13,7 +13,9 @@
 //!   [`StructId`]; rebinding a type *name* to a new id is how a type is
 //!   versioned without disturbing existing heap records;
 //! * **global cells** whose value (and, across an update, type) can be
-//!   swapped after state transformation.
+//!   swapped after state transformation;
+//! * the **remaps** committed patches armed between layouts
+//!   ([`crate::remap`]).
 //!
 //! Linking is two-phase on purpose: [`Process::link_functions`] installs
 //! code and returns planned name bindings without publishing them, and
@@ -34,8 +36,9 @@ use crate::decode::{self, DOp};
 use crate::interp::{exec, ExecState, ExecStats, Frame, Outcome};
 use crate::ops::Op;
 use crate::profile::Profiler;
+use crate::remap::{Remap, RemapTable};
 use crate::trap::{LinkError, Trap};
-use crate::value::{FnRef, FuncId, GlobalId, HostId, SlotId, StructId, Value};
+use crate::value::{FnRef, FuncId, GlobalId, HostId, RecordObj, SlotId, StructId, Value};
 
 /// How inter-procedural references are bound at link time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,21 +220,6 @@ pub struct GlobalCell {
     pub ty: Ty,
     /// Current value.
     pub value: Value,
-    /// A pending *lazy* state transformer: when set, the next guest read
-    /// of this global first runs the named function over the current
-    /// value and stores the result (Javelus-style lazy migration — the
-    /// alternative to the paper's eager transformation, kept for the
-    /// ablation study). The flag clears *before* the transformer runs, so
-    /// a transformer reading its own global sees the old value once.
-    pub pending_transform: Option<FuncId>,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct StructInfo {
-    /// The name the definition was registered under (diagnostics only; the
-    /// *current* name binding lives in `struct_by_name`).
-    pub name: String,
-    pub def: TypeDef,
 }
 
 /// A snapshot of all mutable bindings, sufficient to roll back an update.
@@ -247,7 +235,8 @@ impl BindingSnapshot {
     /// Checks that [`Process::restore`] can install this snapshot on
     /// `proc`: no more slots or global cells than the process has, every
     /// function id inside the code store, every slot id inside the slot
-    /// table, every struct id registered. A snapshot the process took of
+    /// table, every struct id registered, and every record holding as many
+    /// fields as its layout declares. A snapshot the process took of
     /// itself always fits; one decoded from bytes need not.
     ///
     /// # Errors
@@ -270,11 +259,7 @@ impl BindingSnapshot {
             return Err(format!("{n} globals, the process has {have}"));
         }
         let bound = self.fn_by_name.values().copied();
-        let transformers = self.globals.iter().filter_map(|g| g.pending_transform);
-        for id in bound
-            .chain(self.slots.iter().flatten().copied())
-            .chain(transformers)
-        {
+        for id in bound.chain(self.slots.iter().flatten().copied()) {
             fits("function", id.0, proc.functions.len())?;
         }
         for id in self.struct_by_name.values() {
@@ -292,7 +277,15 @@ impl BindingSnapshot {
                     stack.extend(a.borrow().iter().cloned());
                 }
                 Value::Record(r) if seen.insert(Rc::as_ptr(r).cast::<()>()) => {
-                    fits("struct", r.struct_id.0, proc.structs.len())?;
+                    let sid = r.struct_id.get();
+                    fits("struct", sid.0, proc.structs.len())?;
+                    let (have, want) = (r.fields.borrow().len(), proc.struct_def(sid).fields.len());
+                    if have != want {
+                        return Err(format!(
+                            "struct {} record has {have} of {want} fields",
+                            sid.0
+                        ));
+                    }
                     stack.extend(r.fields.borrow().iter().cloned());
                 }
                 _ => {}
@@ -312,8 +305,13 @@ pub struct Process {
     slots: Vec<Option<FuncId>>,
     slot_by_name: HashMap<String, SlotId>,
     slot_names: Vec<String>,
-    structs: Vec<StructInfo>,
+    /// Every registered layout, by `StructId`; the *current* binding of
+    /// each name lives in `struct_by_name`.
+    structs: Vec<TypeDef>,
     struct_by_name: HashMap<String, StructId>,
+    /// Layout conversions armed by committed patches (append-only, and
+    /// deliberately outside [`BindingSnapshot`]).
+    remaps: RemapTable,
     globals: Vec<GlobalCell>,
     global_by_name: HashMap<String, GlobalId>,
     pub(crate) hosts: Vec<HostEntry>,
@@ -354,6 +352,7 @@ impl Process {
             slot_names: Vec::new(),
             structs: Vec::new(),
             struct_by_name: HashMap::new(),
+            remaps: RemapTable::default(),
             globals: Vec::new(),
             global_by_name: HashMap::new(),
             hosts: Vec::new(),
@@ -463,10 +462,7 @@ impl Process {
     /// bind the type name; see [`Process::bind_type_name`].
     pub fn register_struct(&mut self, def: TypeDef) -> StructId {
         let id = StructId(self.structs.len() as u32);
-        self.structs.push(StructInfo {
-            name: def.name.clone(),
-            def,
-        });
+        self.structs.push(def);
         id
     }
 
@@ -485,16 +481,33 @@ impl Process {
     /// # Panics
     /// Panics when `id` was not returned by this process.
     pub fn struct_def(&self, id: StructId) -> &TypeDef {
-        &self.structs[id.0 as usize].def
+        &self.structs[id.0 as usize]
     }
 
-    /// The name a layout was originally registered under (diagnostics; the
-    /// *current* binding of a name may differ after type versioning).
+    /// Arms the remaps between layouts `from` and `to`, both ways
+    /// ([`Remap::derive_both`]); records then convert on first touch.
+    ///
+    /// # Errors
+    /// Names the field that makes either direction non-mechanical; nothing
+    /// is armed then.
     ///
     /// # Panics
-    /// Panics when `id` was not returned by this process.
-    pub fn struct_name(&self, id: StructId) -> &str {
-        &self.structs[id.0 as usize].name
+    /// Panics when either id was not returned by this process.
+    pub fn arm_remap(&mut self, from: StructId, to: StructId) -> Result<(), String> {
+        let (forward, backward) = Remap::derive_both(self.struct_def(from), self.struct_def(to))?;
+        self.remaps.arm(from, to, forward);
+        self.remaps.arm(to, from, backward);
+        Ok(())
+    }
+
+    /// Converts `rec` to layout `to` along the armed remaps: the cold half
+    /// of every field access whose layouts differ.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn migrate(&mut self, rec: &RecordObj, to: StructId) -> Result<(), Trap> {
+        self.remaps.migrate(rec, to)?;
+        self.stats.records_migrated += 1;
+        Ok(())
     }
 
     /// Iterates over the current type-name bindings.
@@ -523,7 +536,6 @@ impl Process {
             name: name.clone(),
             ty,
             value,
-            pending_transform: None,
         });
         self.global_by_name.insert(name, id);
         Ok(id)
@@ -553,42 +565,6 @@ impl Process {
             }
             None => false,
         }
-    }
-
-    /// Atomically retypes and overwrites a global — the *bind* step of a
-    /// state-transforming update. Returns `false` when the global does not
-    /// exist.
-    pub fn retype_global(&mut self, name: &str, ty: Ty, value: Value) -> bool {
-        match self.global_by_name.get(name) {
-            Some(id) => {
-                let cell = &mut self.globals[id.0 as usize];
-                cell.ty = ty;
-                cell.value = value;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Arms a *lazy* state transformer on a global: the next guest read
-    /// runs `transformer` over the stored value first (see
-    /// [`GlobalCell::pending_transform`]). Returns `false` when the
-    /// global does not exist.
-    pub fn set_pending_transform(&mut self, name: &str, transformer: FuncId) -> bool {
-        match self.global_by_name.get(name) {
-            Some(id) => {
-                self.globals[id.0 as usize].pending_transform = Some(transformer);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether a lazy transform is still pending on `name`.
-    pub fn has_pending_transform(&self, name: &str) -> bool {
-        self.global_by_name
-            .get(name)
-            .is_some_and(|id| self.globals[id.0 as usize].pending_transform.is_some())
     }
 
     /// Iterates over all global cells.
@@ -746,10 +722,6 @@ impl Process {
                     work.push(id);
                 }
             });
-            // Armed lazy transformers are called by FuncId on first read.
-            if let Some(fid) = cell.pending_transform {
-                work.push(fid);
-            }
         }
         // Suspended frames also hold function *values* in locals/stacks;
         // conservatively scan them.
@@ -1172,8 +1144,8 @@ impl Process {
                 let n = self.struct_def(id).fields.len() as u16;
                 Op::NewRecord(id, n)
             }
-            I::GetField(_, i) => Op::GetField(*i),
-            I::SetField(_, i) => Op::SetField(*i),
+            I::GetField(tr, i) => Op::GetField(self.resolve_type(r, *tr)?, *i),
+            I::SetField(tr, i) => Op::SetField(self.resolve_type(r, *tr)?, *i),
             I::IsNull(_) => Op::IsNull,
             I::NewArray(_) => Op::NewArray,
             I::ArrayGet => Op::ArrayGet,

@@ -20,12 +20,6 @@
 //! on the hot path when disarmed (one `Option` check per call/return
 //! when armed), and the paper's dispatch-overhead numbers stay valid
 //! because profiling is off everywhere by default.
-//!
-//! Known imprecision: host-driven reentrant guest calls (e.g. a lazy
-//! state transformer firing mid-read) resync the mirrored stack to the
-//! inner execution; decoded ops the *outer* frame retires before its
-//! next call/return edge are then charged to the caller's truncated
-//! stack. The counts stay total — only their stack key coarsens.
 
 use std::collections::HashMap;
 

@@ -110,7 +110,7 @@ fn encode_value(v: &Value, shares: &mut ShareTable, out: &mut String) {
             Ok(id) => {
                 out.push_str(&format!(
                     "{{\"t\":\"rec\",\"id\":{id},\"sid\":{},\"v\":[",
-                    r.struct_id.0
+                    r.struct_id.get().0
                 ));
                 for (i, e) in r.fields.borrow().iter().enumerate() {
                     if i > 0 {
@@ -167,9 +167,6 @@ pub fn encode_snapshot(snap: &BindingSnapshot) -> String {
             escape(&g.ty.to_string()),
         ));
         encode_value(&g.value, &mut shares, &mut out);
-        if let Some(x) = g.pending_transform {
-            out.push_str(&format!(",\"xform\":{}", x.0));
-        }
         out.push('}');
     }
     out.push_str("]}");
@@ -579,16 +576,7 @@ pub fn decode_snapshot(text: &str) -> Result<BindingSnapshot, SnapshotCodecError
                 .ok_or_else(|| SnapshotCodecError(format!("global `{name}` without value")))?,
             &mut shares,
         )?;
-        let pending_transform = match g.get("xform") {
-            Some(x) => Some(FuncId(x.as_id("xform")?)),
-            None => None,
-        };
-        globals.push(GlobalCell {
-            name,
-            ty,
-            value,
-            pending_transform,
-        });
+        globals.push(GlobalCell { name, ty, value });
     }
 
     Ok(BindingSnapshot {
@@ -609,7 +597,6 @@ mod tests {
             name: name.to_string(),
             ty,
             value,
-            pending_transform: None,
         }
     }
 
@@ -631,12 +618,7 @@ mod tests {
             globals: vec![
                 cell("hits", Ty::Int, Value::Int(42)),
                 cell("buf", Ty::array(Ty::Int), shared.clone()),
-                GlobalCell {
-                    name: "conn0".to_string(),
-                    ty: Ty::named("conn"),
-                    value: rec,
-                    pending_transform: Some(FuncId(7)),
-                },
+                cell("conn0", Ty::named("conn"), rec),
                 cell("alias", Ty::array(Ty::Int), shared),
             ],
         }
@@ -656,7 +638,6 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.ty, b.ty);
             assert_eq!(a.value, b.value);
-            assert_eq!(a.pending_transform, b.pending_transform);
         }
         // Deterministic: re-encoding the decode reproduces the bytes.
         assert_eq!(encode_snapshot(&back), text);

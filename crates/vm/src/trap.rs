@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::value::StructId;
+
 /// A run-time fault. Verified code can still trap on the C-like partial
 /// operations (null dereference, division by zero, out-of-bounds indexing);
 /// it can never violate type safety.
@@ -30,6 +32,14 @@ pub enum Trap {
     OutOfFuel,
     /// A host (extern) function reported an error.
     Host(String),
+    /// A field access found a record in a layout no armed remap converts
+    /// to the one the code expects (see [`crate::remap`]).
+    StaleRecord {
+        /// The record's layout.
+        found: StructId,
+        /// The layout the accessing code was linked against.
+        expected: StructId,
+    },
     /// The entry function named in a `run` call does not exist.
     NoSuchFunction(String),
     /// Arguments passed from the host do not match the entry signature arity.
@@ -54,6 +64,7 @@ impl fmt::Display for Trap {
             Trap::StackOverflow => write!(f, "guest stack overflow"),
             Trap::OutOfFuel => write!(f, "instruction budget exhausted"),
             Trap::Host(msg) => write!(f, "host function error: {msg}"),
+            Trap::StaleRecord { found, expected } => write!(f, "no remap {found:?} → {expected:?}"),
             Trap::NoSuchFunction(name) => write!(f, "no function named `{name}`"),
             Trap::BadEntryArity { expected, got } => {
                 write!(f, "entry expects {expected} arguments, got {got}")

@@ -2,11 +2,12 @@
 //!
 //! Values are reference-counted; records and arrays are shared mutable heap
 //! objects (the guest language has C-like aliasing). Every record carries
-//! the [`StructId`] it was allocated with, which is how two *versions* of a
-//! source-level type coexist in one heap after a dynamic update: old records
-//! keep their old layout identity until a state transformer rebuilds them.
+//! the [`StructId`] of its current layout, which is how two *versions* of a
+//! source-level type coexist in one heap after a dynamic update: an old
+//! record keeps its old layout until code expecting the new one touches it
+//! and it converts itself in place (see [`crate::remap`]).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -36,8 +37,9 @@ pub struct HostId(pub u32);
 /// A heap-allocated record instance.
 #[derive(Debug)]
 pub struct RecordObj {
-    /// The layout the record was allocated with.
-    pub struct_id: StructId,
+    /// The record's current layout: the one it was allocated with, until a
+    /// field access expecting another layout converts it.
+    pub struct_id: Cell<StructId>,
     /// Field values, in declaration order of that layout.
     pub fields: RefCell<Vec<Value>>,
 }
@@ -100,7 +102,7 @@ impl Value {
     /// Creates a record value with the given layout and fields.
     pub fn record(struct_id: StructId, fields: Vec<Value>) -> Value {
         Value::Record(Rc::new(RecordObj {
-            struct_id,
+            struct_id: Cell::new(struct_id),
             fields: RefCell::new(fields),
         }))
     }
@@ -216,7 +218,7 @@ impl PartialEq for Value {
             (Value::Fn(a), Value::Fn(b)) => a == b,
             (Value::Array(a), Value::Array(b)) => *a.borrow() == *b.borrow(),
             (Value::Record(a), Value::Record(b)) => {
-                a.struct_id == b.struct_id && *a.fields.borrow() == *b.fields.borrow()
+                a.struct_id.get() == b.struct_id.get() && *a.fields.borrow() == *b.fields.borrow()
             }
             _ => false,
         }
@@ -245,7 +247,7 @@ impl fmt::Display for Value {
                 write!(f, "]")
             }
             Value::Record(r) => {
-                write!(f, "{{#{}:", r.struct_id.0)?;
+                write!(f, "{{#{}:", r.struct_id.get().0)?;
                 for (i, v) in r.fields.borrow().iter().enumerate() {
                     if i > 0 {
                         write!(f, ",")?;

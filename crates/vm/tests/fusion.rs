@@ -290,47 +290,3 @@ fn each_trap_comes_through_its_fused_read() {
         assert_eq!(p.call("length", vec![]).unwrap(), Value::Int(3));
     }
 }
-
-#[test]
-fn lazy_transform_fires_once_through_the_fused_global_read() {
-    let src = r#"
-        global data: [int] = [1, 2, 3];
-        global fired: int = 0;
-        fun xf(old: [int]): [int] {
-            fired = fired + 1;
-            var out: [int] = new [int];
-            var i: int = 0;
-            while (i < len(old)) { push(out, old[i] * 10); i = i + 1; }
-            return out;
-        }
-        fun bad(old: [int]): [int] { var z: int = 0; push(old, 1 / z); return old; }
-        fun read(i: int): int { return data[i]; }
-    "#;
-    let m = popcorn::compile(src, "t", "v1", &Interface::new()).unwrap();
-    for (m, fused) in [(m.clone(), true), (block_fusion(&m), false)] {
-        let mut p = boot(&m);
-        assert_eq!(
-            has_op(&p, "read", |d| matches!(d, DOp::GlobalArrayGet(..))),
-            fused
-        );
-        assert_eq!(p.call("read", vec![Value::Int(1)]).unwrap(), Value::Int(2));
-        let xf = p.function_id("xf").unwrap();
-        assert!(p.set_pending_transform("data", xf));
-        assert_eq!(p.call("read", vec![Value::Int(1)]).unwrap(), Value::Int(20));
-        assert!(!p.has_pending_transform("data"));
-        assert_eq!(p.call("read", vec![Value::Int(2)]).unwrap(), Value::Int(30));
-        assert_eq!(
-            p.global_value("fired"),
-            Some(Value::Int(1)),
-            "fused={fused}"
-        );
-        // A transformer that traps surfaces its trap through the read.
-        let bad = p.function_id("bad").unwrap();
-        assert!(p.set_pending_transform("data", bad));
-        assert_eq!(
-            p.call("read", vec![Value::Int(0)]).unwrap_err(),
-            Trap::DivByZero,
-            "fused={fused}"
-        );
-    }
-}

@@ -1,6 +1,5 @@
 //! A tour of the patch generator: what the source diff finds, what patch
-//! source it composes, and what the synthesised state transformer looks
-//! like.
+//! source it composes, and which changed types its manifest remaps.
 //!
 //! Run with: `cargo run --example patchgen_tour`
 
@@ -16,15 +15,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let gen = PatchGen::new().generate(old_src, new_src, from, to)?;
         println!(
             "{from} -> {to}: {} changed, {} carried, {} added, {} removed, \
-             {} types changed, {} globals added, {} transformers ({} auto), {} bytes",
+             {} types changed ({} remapped), {} globals added, {} transformers, {} bytes",
             gen.stats.functions_changed,
             gen.stats.functions_carried,
             gen.stats.functions_added,
             gen.stats.functions_removed,
             gen.stats.types_changed,
+            gen.stats.types_remapped,
             gen.stats.globals_added,
             gen.stats.transformers,
-            gen.stats.transformers_auto,
             gen.patch.size_bytes(),
         );
     }

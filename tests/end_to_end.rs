@@ -281,6 +281,12 @@ fn heap_accounting_reflects_transformed_state() {
             while (i < n) { push(data, rec { id: i }); i = i + 1; }
             return len(data);
         }
+        fun ids(): int {
+            var s: int = 0;
+            var i: int = 0;
+            while (i < len(data)) { s = s + data[i].id; i = i + 1; }
+            return s;
+        }
     "#;
     let v2 = r#"
         struct rec { id: int, note: string }
@@ -290,6 +296,12 @@ fn heap_accounting_reflects_transformed_state() {
             while (i < n) { push(data, rec { id: i, note: "" }); i = i + 1; }
             return len(data);
         }
+        fun ids(): int {
+            var s: int = 0;
+            var i: int = 0;
+            while (i < len(data)) { s = s + data[i].id; i = i + 1; }
+            return s;
+        }
     "#;
     let gen = PatchGen::new().generate(v1, v2, "v1", "v2").unwrap();
     let mut p = boot(v1);
@@ -297,6 +309,9 @@ fn heap_accounting_reflects_transformed_state() {
     // Measured by the caller, outside the pause: a heap walk is O(state).
     let heap_before = p.heap_size();
     apply_patch(&mut p, &gen.patch, UpdatePolicy::default()).unwrap();
+    // The update converts no record; each grows on its first touch.
+    assert_eq!(p.heap_size(), heap_before);
+    p.call("ids", vec![]).unwrap();
     let heap_after = p.heap_size();
     // Records grew by one field each: heap after > heap before.
     assert!(
@@ -338,10 +353,11 @@ fn patch_files_round_trip_and_apply() {
     let loaded = dsu::core::load_patch(&file).unwrap();
     assert_eq!(loaded, gen.patch);
 
-    // The loaded patch applies and transforms state like the original.
+    // The loaded patch applies and remaps state like the original.
     server.queue_patch(loaded);
     server.apply_pending_now().unwrap();
-    assert_eq!(server.updater.log()[0].globals_transformed, 1);
+    let report = &server.updater.log()[0];
+    assert_eq!((report.types_changed, report.globals_transformed), (1, 0));
     let hits = server
         .process_mut()
         .call("cache_hits_total", vec![])

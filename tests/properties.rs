@@ -8,7 +8,7 @@
 //! * **Pretty-printer fixed point** — printing a parsed program is stable,
 //!   which is what the patch generator's text-level diffing relies on.
 //! * **Patch-generation round trip** — for a generated family of struct
-//!   growth changes, the synthesised transformer preserves live state.
+//!   growth changes, the generated remap preserves live state.
 //! * **Workload sampler** — Zipf sampling stays in range and is
 //!   deterministic in the seed.
 //! * **Optimizer soundness** — folding preserves behaviour and
@@ -22,6 +22,11 @@
 //! * **Staged commits** — over random walks of a version history, a patch
 //!   staged at some earlier point of the walk commits to exactly what an
 //!   unstaged apply produces on a twin process.
+//! * **Eager vs first-touch migration** — over random record-table
+//!   histories and FlashEd v3↔v4, a twin that remaps records on first
+//!   touch answers exactly as a twin that converts them eagerly, move for
+//!   move, across forward hops and inverse-patch rollbacks; a snapshot
+//!   rollback rewinds only the eager twin's table, as documented.
 //!
 //! * **Hostile state bytes** — truncated, bit-flipped, spliced and
 //!   re-numbered worker-state blobs taken along FlashEd walks are refused
@@ -365,9 +370,8 @@ fn pretty_print_is_a_fixed_point() {
 
 // ===================== patch generation round trip =====================
 
-/// For a generated family of struct-growth changes, the synthesised
-/// state transformer preserves all carried fields over any live
-/// population.
+/// For a generated family of struct-growth changes, the generated remap
+/// preserves all carried fields over any live population.
 #[test]
 fn patchgen_struct_growth_preserves_state() {
     for case in 0..48u64 {
@@ -440,7 +444,7 @@ fn patchgen_struct_growth_preserves_state() {
             .generate(v1, &v2, "v1", "v2")
             .unwrap();
         assert_eq!(gen.stats.types_changed, 1);
-        assert_eq!(gen.stats.transformers_auto, 1);
+        assert_eq!(gen.stats.types_remapped, 1);
 
         let m = popcorn::compile(v1, "app", "v1", &popcorn::Interface::new()).unwrap();
         let mut p = Process::new(LinkMode::Updateable);
@@ -660,11 +664,11 @@ fn soak_many_sequential_patches() {
 /// traffic keeps mutating state, then walk the snapshot-ring rollback
 /// chain back `j ≤ k` hops — still under traffic. After every hop the
 /// guest answers with the restored version's semantics and the expected
-/// state: snapshots share untransformed guest values (`Rc` cells), so a
-/// code-only hop's restore keeps all traffic served since, while a hop
-/// whose forward transformer rebuilt a global rewinds it to its
-/// apply-instant contents. Every journal lifecycle (forward and
-/// backward) passes the phase-sum validator at every hop.
+/// state: snapshots share guest values (`Rc` cells), and a struct change
+/// remaps records instead of copying the table, so every restore keeps
+/// all traffic served since — records in a newer layout convert back on
+/// first touch. Every journal lifecycle (forward and backward) passes the
+/// phase-sum validator at every hop.
 #[test]
 fn rollback_chains_restore_every_version_under_traffic() {
     use dsu_obs::journal::validate_lifecycle;
@@ -721,7 +725,6 @@ fn rollback_chains_restore_every_version_under_traffic() {
         // snapshot each hop restores is the state at its apply instant.
         let mut sum = 0i64;
         let mut prev_src = src;
-        let mut snap_sums = vec![0i64]; // snap_sums[i]: state the hop onto v(i+2) restores
         for step in 0..k {
             let t = rng.gen_range_usize(2, 4) as i64;
             let gen = dsu_core::PatchGen::new()
@@ -737,7 +740,6 @@ fn rollback_chains_restore_every_version_under_traffic() {
             // First iteration runs the old version's add, then the patch
             // applies at the update point; the rest run the new version.
             sum += mults[step];
-            snap_sums.push(sum);
             for r in 2..=t {
                 sum += r * mults[step + 1];
             }
@@ -756,11 +758,6 @@ fn rollback_chains_restore_every_version_under_traffic() {
             // The pump's own add lands before the restore, on the
             // not-yet-rolled-back version.
             sum += mults[at];
-            if fields[at] > fields[at - 1] {
-                // The forward transformer rebuilt `data`; this restore
-                // rewinds it to its contents at that apply instant.
-                sum = snap_sums[at];
-            }
             let expect = sum;
             assert_eq!(got, Value::Int(expect), "case {case} hop {hop}");
             assert_eq!(p.call("sum", vec![]).unwrap(), Value::Int(expect));
@@ -928,6 +925,393 @@ fn staged_commits_equal_unstaged_applies_on_seeded_walks() {
         }
     }
     assert!(seen.iter().all(|&n| n >= 20), "walks too tame: {seen:?}");
+}
+
+// ==================== eager vs first-touch migration ====================
+
+/// A field of the generated record type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Str,
+    Arr,
+    Box,
+}
+
+/// One version of the record-table program: `rec`'s non-`id` fields, in
+/// declaration order, each with a name unique across the history (a
+/// dropped field that comes back is a new field).
+fn table_src(version: usize, fields: &[(String, Kind)]) -> String {
+    let ty = |k: Kind| match k {
+        Kind::Int => "int",
+        Kind::Str => "string",
+        Kind::Arr => "[int]",
+        Kind::Box => "box",
+    };
+    let decls: String = fields
+        .iter()
+        .map(|(f, k)| format!(", {f}: {}", ty(*k)))
+        .collect();
+    let mut inits = String::new();
+    let mut writes = String::new();
+    let mut digest = String::new();
+    for (j, (f, k)) in fields.iter().enumerate() {
+        let w = j + 2;
+        let (init, write, add) = match k {
+            Kind::Int => (
+                format!("n + {j}"),
+                format!("n * 2 + {j}"),
+                format!("d = d + r.{f} * {w};"),
+            ),
+            Kind::Str => (
+                "itoa(n)".to_string(),
+                "itoa(n) + \"w\"".to_string(),
+                format!("d = d + len(r.{f}) * {w};"),
+            ),
+            Kind::Arr => (
+                format!("[n, {j}]"),
+                "[n]".to_string(),
+                format!("d = d + len(r.{f}) * {w}; if (len(r.{f}) > 0) {{ d = d + r.{f}[0]; }}"),
+            ),
+            Kind::Box => (
+                format!("box {{ v: n + {j} }}"),
+                "box { v: n * 3 }".to_string(),
+                format!("if (r.{f} == null) {{ d = d + {w}; }} else {{ d = d + r.{f}.v * {w}; }}"),
+            ),
+        };
+        inits.push_str(&format!(", {f}: {init}"));
+        writes.push_str(&format!(" r.{f} = {write};"));
+        digest.push_str(&format!("\n                {add}"));
+    }
+    format!(
+        r#"
+        struct box {{ v: int }}
+        struct rec {{ id: int{decls} }}
+        global data: [rec] = new [rec];
+        fun vtag(): int {{ return {version}; }}
+        fun add(n: int): int {{ push(data, rec {{ id: n{inits} }}); return len(data); }}
+        fun count(): int {{ return len(data); }}
+        fun digest(i: int): int {{
+            var r: rec = data[i];
+            var d: int = r.id;{digest}
+            return d;
+        }}
+        fun scan(from: int, k: int): int {{
+            var s: int = 0;
+            var i: int = from;
+            while (i < from + k) {{ if (i < len(data)) {{ s = s + digest(i); }} i = i + 1; }}
+            return s;
+        }}
+        fun write(i: int, n: int): int {{ var r: rec = data[i]; r.id = n;{writes} return 0; }}
+        fun ids(): int {{
+            var s: int = 0;
+            var i: int = 0;
+            while (i < len(data)) {{ s = s + data[i].id; i = i + 1; }}
+            return s;
+        }}
+        fun reset(n: int): int {{
+            data = new [rec];
+            var i: int = 0;
+            while (i < n) {{ add(i * 3 + 1); i = i + 1; }}
+            return n;
+        }}
+        "#
+    )
+}
+
+/// The conversion a remap derives for `data: [rec]`, written as the
+/// hand-written transformer an eager twin runs in the pause.
+fn table_xform(name: &str, old: &[(String, Kind)], new: &[(String, Kind)]) -> String {
+    let fields: String = new
+        .iter()
+        .map(|(f, k)| {
+            let carried = old.iter().any(|(o, _)| o == f);
+            let v = match (carried, k) {
+                (true, _) => format!("o.{f}"),
+                (false, Kind::Int) => "0".to_string(),
+                (false, Kind::Str) => "\"\"".to_string(),
+                (false, Kind::Arr) => "new [int]".to_string(),
+                (false, Kind::Box) => "null".to_string(),
+            };
+            format!(", {f}: {v}")
+        })
+        .collect();
+    format!(
+        r#"
+        fun {name}(old: [rec__old]): [rec] {{
+            var out: [rec] = new [rec];
+            var i: int = 0;
+            while (i < len(old)) {{
+                var o: rec__old = old[i];
+                if (o == null) {{ push(out, null); }} else {{ push(out, rec {{ id: o.id{fields} }}); }}
+                i = i + 1;
+            }}
+            return out;
+        }}
+        "#
+    )
+}
+
+/// Seeded walks on twin processes over a generated 2–4 version history of
+/// a record table whose fields (ints, strings, arrays, records) come and
+/// go. Twin `a` takes the patch generator's patches, whose struct changes
+/// are remaps; twin `b` takes the same patches with the same mapping as a
+/// hand-written transformer, run eagerly in the pause. Reads, field
+/// writes, pushes and partial scans interleave with forward hops, inverse
+/// patches and snapshot rollbacks, so hops land while part of `a`'s heap
+/// is still in an older (or, after a rollback, newer) layout. After every
+/// move the twins answer alike. A snapshot rollback of a struct change is
+/// where they part, as DESIGN.md §5e documents: `b`'s table rewinds to the
+/// apply instant, `a`'s keeps every record and write since, converted
+/// back. The walk asserts both, then resets both tables and goes on.
+#[test]
+fn migrate_eager_vs_remap_agree_on_seeded_walks() {
+    use dsu_core::{apply_patch, ManualTransformer, PatchGen, UpdatePolicy};
+
+    let kinds = [Kind::Int, Kind::Str, Kind::Arr, Kind::Box];
+    let int = |p: &mut Process, f: &str, args: &[i64]| {
+        p.call(f, args.iter().map(|a| Value::Int(*a)).collect())
+            .map(|v| v.as_int())
+    };
+    let (mut snapshot_rewinds, mut migrated) = (0, 0);
+    for case in 0..40u64 {
+        let mut rng = Rng::seed_from_u64(0xE6A6E ^ case);
+        // The history: every hop changes `vtag`; most also add or drop
+        // fields.
+        let mut next_name = 0;
+        let mut field = |rng: &mut Rng| {
+            next_name += 1;
+            (format!("f{next_name}"), *rng.choose(&kinds))
+        };
+        let mut versions = vec![(0..rng.gen_range_usize(0, 2))
+            .map(|_| field(&mut rng))
+            .collect::<Vec<_>>()];
+        for _ in 0..rng.gen_range_usize(1, 3) {
+            let mut f = versions.last().unwrap().clone();
+            match rng.gen_range_usize(0, 3) {
+                0 if !f.is_empty() => {
+                    f.remove(rng.gen_range_usize(0, f.len() - 1));
+                }
+                1 | 2 => f.insert(rng.gen_range_usize(0, f.len()), field(&mut rng)),
+                _ => {}
+            }
+            versions.push(f);
+        }
+        let srcs: Vec<String> = versions
+            .iter()
+            .enumerate()
+            .map(|(v, f)| table_src(v, f))
+            .collect();
+        let pair = |from: usize, to: usize| {
+            let tag = |v: usize| format!("v{v}");
+            let remap = PatchGen::new()
+                .generate(&srcs[from], &srcs[to], &tag(from), &tag(to))
+                .unwrap();
+            let name = format!("mig_{from}_{to}");
+            let eager = PatchGen::new()
+                .with_manual(ManualTransformer {
+                    global: "data".into(),
+                    function: name.clone(),
+                    source: table_xform(&name, &versions[from], &versions[to]),
+                })
+                .generate(&srcs[from], &srcs[to], &tag(from), &tag(to))
+                .unwrap();
+            let changed = versions[from] != versions[to];
+            assert_eq!(remap.stats.types_remapped, usize::from(changed));
+            assert_eq!(eager.stats.transformers, usize::from(changed));
+            (remap.patch, eager.patch, changed)
+        };
+        let top = versions.len() - 1;
+        let forward: Vec<_> = (0..top).map(|i| pair(i, i + 1)).collect();
+        let inverse: Vec<_> = (0..top).map(|i| pair(i + 1, i)).collect();
+        let boot = || {
+            let m = popcorn::compile(&srcs[0], "table", "v0", &popcorn::Interface::new()).unwrap();
+            let mut p = Process::new(LinkMode::Updateable);
+            p.load_module(&m).unwrap();
+            p
+        };
+        let (mut a, mut b) = (boot(), boot());
+        let mut at = 0usize;
+        let mut n = 0i64;
+        // Per hop taken: both snapshots, the version, whether it changed
+        // `rec`, and `b`'s table (length, full scan) at the apply instant.
+        let mut ring = Vec::new();
+        let k = rng.gen_range_i64(0, 12);
+        for twin in [&mut a, &mut b] {
+            int(twin, "reset", &[k]).unwrap();
+        }
+
+        for step in 0..30 {
+            let ctx = format!("case {case} step {step} at v{at} {versions:?}");
+            let len = int(&mut a, "count", &[]).unwrap();
+            n += 1;
+            match rng.gen_range_usize(0, 9) {
+                0..=3 => {
+                    let (f, args): (&str, Vec<i64>) = match rng.gen_range_usize(0, 3) {
+                        _ if len == 0 => ("add", vec![n]),
+                        0 => ("digest", vec![rng.gen_range_i64(0, len - 1)]),
+                        1 => ("write", vec![rng.gen_range_i64(0, len - 1), n]),
+                        2 => ("add", vec![n]),
+                        _ => (
+                            "scan",
+                            vec![rng.gen_range_i64(0, len - 1), rng.gen_range_i64(1, 5)],
+                        ),
+                    };
+                    assert_eq!(
+                        int(&mut a, f, &args),
+                        int(&mut b, f, &args),
+                        "{ctx} {f}{args:?}"
+                    );
+                }
+                4 => {
+                    let from = rng.gen_range_i64(0, len.max(1) - 1);
+                    let k = rng.gen_range_i64(1, 6);
+                    assert_eq!(
+                        int(&mut a, "scan", &[from, k]),
+                        int(&mut b, "scan", &[from, k]),
+                        "{ctx}"
+                    );
+                }
+                5 if !ring.is_empty() => {
+                    let (sa, sb, v, changed, (len_then, scan_then)) = ring.pop().unwrap();
+                    let ids_now = int(&mut a, "ids", &[]).unwrap();
+                    a.restore(sa);
+                    b.restore(sb);
+                    at = v;
+                    if changed {
+                        // The eager twin's table is the apply-instant copy...
+                        assert_eq!(int(&mut b, "count", &[]).unwrap(), len_then, "{ctx}");
+                        assert_eq!(
+                            int(&mut b, "scan", &[0, len_then]).unwrap(),
+                            scan_then,
+                            "{ctx}"
+                        );
+                        // ...the remap twin's is the table it had, every
+                        // record converted back on its first touch.
+                        assert_eq!(int(&mut a, "count", &[]).unwrap(), len, "{ctx}");
+                        assert_eq!(int(&mut a, "ids", &[]).unwrap(), ids_now, "{ctx}");
+                        snapshot_rewinds += 1;
+                        ring.clear();
+                        let k = rng.gen_range_i64(0, 12);
+                        for twin in [&mut a, &mut b] {
+                            int(twin, "reset", &[k]).unwrap();
+                        }
+                    }
+                }
+                _ => {
+                    let back = at == top || (at > 0 && rng.gen_bool());
+                    let (patches, to) = if back {
+                        (&inverse[at - 1], at - 1)
+                    } else {
+                        (&forward[at], at + 1)
+                    };
+                    let then = (len, int(&mut b, "scan", &[0, len]).unwrap());
+                    let (sa, sb) = (a.snapshot(), b.snapshot());
+                    apply_patch(&mut a, &patches.0, UpdatePolicy::default()).expect(&ctx);
+                    apply_patch(&mut b, &patches.1, UpdatePolicy::default()).expect(&ctx);
+                    ring.push((sa, sb, at, patches.2, then));
+                    at = to;
+                }
+            }
+            assert_eq!(int(&mut a, "vtag", &[]), Ok(at as i64), "{ctx}");
+            assert_eq!(int(&mut b, "vtag", &[]), Ok(at as i64), "{ctx}");
+        }
+        // Every record reads alike at the end of the walk.
+        let len = int(&mut a, "count", &[]).unwrap();
+        assert_eq!(
+            int(&mut a, "scan", &[0, len]),
+            int(&mut b, "scan", &[0, len]),
+            "case {case}"
+        );
+        migrated += a.stats.records_migrated;
+    }
+    assert!(
+        snapshot_rewinds >= 10,
+        "walks too tame: {snapshot_rewinds} rewinds"
+    );
+    assert!(
+        migrated >= 200,
+        "walks too tame: {migrated} records migrated"
+    );
+}
+
+/// FlashEd v3 → v4 → v3 → v4 on twin servers under the same requests:
+/// one takes the generated patches (the cache entries are remapped), the
+/// other converts `cache` with hand-written transformers in the pause.
+/// Every response, and the v4 hit counter, agree.
+#[test]
+fn migrate_eager_vs_remap_agree_on_flashed_cache() {
+    use dsu_core::{ManualTransformer, PatchGen};
+    use flashed::{versions, Server, ServerConfig, SimFs, Workload};
+
+    let xform = |name: &str, hits: &str| {
+        format!(
+            r#"
+            fun {name}(old: [cache_entry__old]): [cache_entry] {{
+                var out: [cache_entry] = new [cache_entry];
+                var i: int = 0;
+                while (i < len(old)) {{
+                    var o: cache_entry__old = old[i];
+                    if (o == null) {{ push(out, null); }} else {{ push(out, cache_entry {{ path: o.path, body: o.body{hits} }}); }}
+                    i = i + 1;
+                }}
+                return out;
+            }}
+            "#
+        )
+    };
+    let (v3, v4) = (versions::v3(), versions::v4());
+    let gen = |old: &str, new: &str, from: &str, to: &str, manual: Option<(&str, String)>| {
+        let mut g = PatchGen::new();
+        if let Some((name, source)) = manual {
+            g = g.with_manual(ManualTransformer {
+                global: "cache".into(),
+                function: name.into(),
+                source,
+            });
+        }
+        g.generate(old, new, from, to).unwrap().patch
+    };
+    let remap = [
+        gen(&v3, &v4, "v3", "v4", None),
+        gen(&v4, &v3, "v4", "v3", None),
+    ];
+    let eager = [
+        gen(&v3, &v4, "v3", "v4", Some(("up", xform("up", ", hits: 0")))),
+        gen(&v4, &v3, "v4", "v3", Some(("down", xform("down", "")))),
+    ];
+    assert!(remap.iter().all(|p| p.manifest.transformers.is_empty()));
+    assert!(eager.iter().all(|p| p.manifest.remaps.is_empty()));
+
+    for seed in 0..3u64 {
+        let fs = || SimFs::generate_fixed(24, 256, seed);
+        let start = || Server::start(&ServerConfig::new(), &v3, "v3", fs()).unwrap();
+        let (mut a, mut b) = (start(), start());
+        let mut wl = Workload::new(fs().paths(), 1.0, seed);
+        for hop in 0..4 {
+            let batch = wl.batch(60);
+            for s in [&mut a, &mut b] {
+                s.push_requests(batch.clone());
+                s.serve().unwrap();
+            }
+            let answers = |s: &mut Server| -> Vec<String> {
+                s.take_completions()
+                    .into_iter()
+                    .map(|c| c.response)
+                    .collect()
+            };
+            assert_eq!(answers(&mut a), answers(&mut b), "seed {seed} hop {hop}");
+            if hop % 2 == 1 {
+                let hits = |s: &mut Server| s.process_mut().call("cache_hits_total", vec![]);
+                assert_eq!(hits(&mut a), hits(&mut b), "seed {seed} hop {hop}");
+            }
+            a.queue_patch(remap[hop % 2].clone());
+            b.queue_patch(eager[hop % 2].clone());
+            a.apply_pending_now().unwrap();
+            b.apply_pending_now().unwrap();
+        }
+        assert!(a.process().stats.records_migrated > 0, "seed {seed}");
+    }
 }
 
 // ====================== supervised faulted walks ======================
